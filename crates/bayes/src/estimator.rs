@@ -144,6 +144,25 @@ impl BayesEstimator {
         preds_a: &[(u32, &ValueConstraint)],
         preds_b: &[(u32, &ValueConstraint)],
     ) -> f64 {
+        self.edge_factor_with(db, eid, preds_a, preds_b, |t, preds| {
+            self.relation_probability(t, preds)
+        })
+    }
+
+    /// [`BayesEstimator::edge_factor`] with the endpoint relation
+    /// probabilities supplied by `endpoint(table, preds)`, which must
+    /// return [`BayesEstimator::relation_probability`]`(table, preds)`. It
+    /// is called only when the lift needs them, endpoint `a` first, so a
+    /// caller that already memoizes relation probabilities can serve both
+    /// from its memo.
+    pub fn edge_factor_with(
+        &self,
+        db: &Database,
+        eid: prism_db::graph::EdgeId,
+        preds_a: &[(u32, &ValueConstraint)],
+        preds_b: &[(u32, &ValueConstraint)],
+        mut endpoint: impl FnMut(TableId, &[(u32, &ValueConstraint)]) -> f64,
+    ) -> f64 {
         let edge = db.graph().edge(eid);
         if !self.use_join_indicators {
             // Ablation: independence-only selectivity from index sizes.
@@ -155,8 +174,8 @@ impl BayesEstimator {
             return factor;
         }
         if let Some(p_joint) = ji.conditional_joint(db, preds_a, preds_b) {
-            let p_a = self.relation_probability(edge.a.table, preds_a);
-            let p_b = self.relation_probability(edge.b.table, preds_b);
+            let p_a = endpoint(edge.a.table, preds_a);
+            let p_b = endpoint(edge.b.table, preds_b);
             if p_a > 0.0 && p_b > 0.0 {
                 factor *= (p_joint / (p_a * p_b)).clamp(LIFT_MIN, LIFT_MAX);
             }

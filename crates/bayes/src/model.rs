@@ -32,8 +32,8 @@ struct Cpt {
 }
 
 impl Cpt {
-    fn prob(&self, parent_bin: u8, bin: u8) -> f64 {
-        self.probs[parent_bin as usize * self.card + bin as usize]
+    fn prob(&self, parent_bin: usize, bin: usize) -> f64 {
+        self.probs[parent_bin * self.card + bin]
     }
 }
 
@@ -44,6 +44,9 @@ pub struct RelationModel {
     /// Chow–Liu tree: parent of each column (None for the root).
     parent: Vec<Option<usize>>,
     children: Vec<Vec<usize>>,
+    /// Every column, children before their parents: the order of the
+    /// upward inference pass.
+    upward: Vec<usize>,
     cpts: Vec<Cpt>,
     row_count: u32,
 }
@@ -112,6 +115,16 @@ impl RelationModel {
                 children[*p].push(c);
             }
         }
+        // Breadth-first from the roots lists parents before children;
+        // reversed, it is the upward pass's order.
+        let mut upward: Vec<usize> = (0..columns).filter(|&c| parent[c].is_none()).collect();
+        let mut next = 0;
+        while next < upward.len() {
+            let node = upward[next];
+            upward.extend_from_slice(&children[node]);
+            next += 1;
+        }
+        upward.reverse();
 
         // Laplace-smoothed CPTs.
         let mut cpts = Vec::with_capacity(columns);
@@ -145,6 +158,7 @@ impl RelationModel {
             discretizers,
             parent,
             children,
+            upward,
             cpts,
             row_count: n as u32,
         }
@@ -200,17 +214,45 @@ impl RelationModel {
     /// P(a uniformly random tuple satisfies every constraint), where
     /// `evidence[col]` optionally carries per-bin weights from
     /// [`RelationModel::column_weights`]. Exact tree inference by a single
-    /// upward pass.
+    /// upward pass: each node's message
+    /// `m(node, pb) = Σ_b P(b | pb) · weight(b) · Π_child m(child, b)` is
+    /// evaluated once per parent bin, children first, and the roots'
+    /// messages multiply into the answer.
     pub fn probability_with_weights(&self, evidence: &[Option<Vec<f64>>]) -> f64 {
         if self.row_count == 0 {
             return 0.0;
         }
-        let roots: Vec<usize> = (0..self.column_count())
-            .filter(|&c| self.parent[c].is_none())
-            .collect();
+        // Messages of all nodes in one buffer; `at[node]` is where the
+        // node's `parent_card` entries start.
+        let mut at = vec![0usize; self.column_count()];
+        let mut msgs: Vec<f64> = Vec::new();
+        for &node in &self.upward {
+            let cpt = &self.cpts[node];
+            at[node] = msgs.len();
+            for pb in 0..cpt.parent_card {
+                let mut total = 0.0;
+                for b in 0..cpt.card {
+                    let mut term = cpt.prob(pb, b);
+                    if let Some(w) = &evidence[node] {
+                        term *= w[b];
+                        if term == 0.0 {
+                            continue;
+                        }
+                    }
+                    for &child in &self.children[node] {
+                        term *= msgs[at[child] + b];
+                        if term == 0.0 {
+                            break;
+                        }
+                    }
+                    total += term;
+                }
+                msgs.push(total);
+            }
+        }
         let mut p = 1.0;
-        for r in roots {
-            p *= self.subtree_probability(r, 0, evidence);
+        for r in (0..self.column_count()).filter(|&c| self.parent[c].is_none()) {
+            p *= msgs[at[r]];
         }
         p.clamp(0.0, 1.0)
     }
@@ -231,35 +273,6 @@ impl RelationModel {
             }
         }
         self.probability_with_weights(&evidence)
-    }
-
-    /// `Σ_b P(b | parent_bin) · weight(b) · Π_child subtree(child, b)`.
-    fn subtree_probability(
-        &self,
-        node: usize,
-        parent_bin: u8,
-        evidence: &[Option<Vec<f64>>],
-    ) -> f64 {
-        let cpt = &self.cpts[node];
-        debug_assert!((parent_bin as usize) < cpt.parent_card);
-        let mut total = 0.0;
-        for b in 0..cpt.card as u8 {
-            let mut term = cpt.prob(parent_bin, b);
-            if let Some(w) = &evidence[node] {
-                term *= w[b as usize];
-                if term == 0.0 {
-                    continue;
-                }
-            }
-            for &child in &self.children[node] {
-                term *= self.subtree_probability(child, b, evidence);
-                if term == 0.0 {
-                    break;
-                }
-            }
-            total += term;
-        }
-        total
     }
 }
 
@@ -303,7 +316,51 @@ mod tests {
     use prism_db::schema::{ColumnDef, TableSchema};
     use prism_db::types::{DataType, Value};
     use prism_lang::parse_value_constraint;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    /// The recursive form of [`RelationModel::probability_with_weights`]:
+    /// each subtree is walked once per combination of its ancestors' bins.
+    /// Kept as the bit-identity reference for the upward pass.
+    fn reference_probability(m: &RelationModel, evidence: &[Option<Vec<f64>>]) -> f64 {
+        if m.row_count == 0 {
+            return 0.0;
+        }
+        let mut p = 1.0;
+        for r in (0..m.column_count()).filter(|&c| m.parent[c].is_none()) {
+            p *= subtree_probability(m, r, 0, evidence);
+        }
+        p.clamp(0.0, 1.0)
+    }
+
+    /// `Σ_b P(b | parent_bin) · weight(b) · Π_child subtree(child, b)`.
+    fn subtree_probability(
+        m: &RelationModel,
+        node: usize,
+        parent_bin: usize,
+        evidence: &[Option<Vec<f64>>],
+    ) -> f64 {
+        let cpt = &m.cpts[node];
+        debug_assert!(parent_bin < cpt.parent_card);
+        let mut total = 0.0;
+        for b in 0..cpt.card {
+            let mut term = cpt.prob(parent_bin, b);
+            if let Some(w) = &evidence[node] {
+                term *= w[b];
+                if term == 0.0 {
+                    continue;
+                }
+            }
+            for &child in &m.children[node] {
+                term *= subtree_probability(m, child, b, evidence);
+                if term == 0.0 {
+                    break;
+                }
+            }
+            total += term;
+        }
+        total
+    }
 
     /// Two perfectly correlated text columns and one independent numeric.
     fn correlated_table(n: usize) -> (TableSchema, Table, SymbolTable) {
@@ -443,6 +500,124 @@ mod tests {
         let p = m.probability(&[(0, &c)]);
         assert!(p > 0.0, "rare keyword must keep nonzero probability");
         assert!(p < 0.05, "but it must stay small, got {p}");
+    }
+
+    /// A `width`-column relation whose columns form a noisy chain: column
+    /// `i + 1` copies column `i` unless the row's noise bit `i` is set, so
+    /// Chow–Liu learns a deep tree. Even columns are numeric, odd columns
+    /// text; a set bit 7 makes the row's last column NULL.
+    fn chain_table(width: usize, rows: &[(u8, u8)]) -> (Table, SymbolTable) {
+        let s = TableSchema {
+            name: "T".into(),
+            columns: (0..width)
+                .map(|i| {
+                    let ty = if i % 2 == 0 {
+                        DataType::Int
+                    } else {
+                        DataType::Text
+                    };
+                    ColumnDef::new(format!("c{i}"), ty)
+                })
+                .collect(),
+        };
+        let mut syms = SymbolTable::new();
+        let mut t = Table::new(&s);
+        for &(start, noise) in rows {
+            let mut v = start % 12;
+            let mut row = Vec::with_capacity(width);
+            for i in 0..width {
+                if i > 0 && noise & (1 << (i - 1)) != 0 {
+                    v = (v * 7 + 3) % 12;
+                }
+                row.push(if i + 1 == width && noise & 0x80 != 0 {
+                    Value::Null
+                } else if i % 2 == 0 {
+                    Value::Int(v as i64)
+                } else {
+                    format!("v{v}").into()
+                });
+            }
+            t.push_row(&s, &mut syms, row).unwrap();
+        }
+        (t, syms)
+    }
+
+    /// Evidence pool: ranges, disjunctions and keywords, over both the
+    /// numeric and the text columns.
+    const EVIDENCE: [&str; 9] = [
+        "< 5",
+        ">= 7",
+        ">= 2 && <= 9",
+        "3 || 7",
+        "v3",
+        "v4 || v11",
+        "CONTAINS v1",
+        "!= v5",
+        ">= 99999",
+    ];
+
+    /// The largest number of edges from a column up to its root.
+    fn tree_depth(m: &RelationModel) -> usize {
+        let parent = m.structure();
+        (0..parent.len())
+            .map(|mut c| {
+                let mut d = 0;
+                while let Some(p) = parent[c] {
+                    c = p;
+                    d += 1;
+                }
+                d
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The upward pass multiplies the same products in the same order
+        /// as the recursive walk, so the two agree bit for bit on any tree
+        /// and any evidence, zero weights included. Every generated
+        /// relation has a Chow–Liu tree at least two edges deep, where the
+        /// recursive walk revisits subtrees once per ancestor bin.
+        #[test]
+        fn upward_pass_is_bit_identical_to_the_recursive_walk(
+            width in 4usize..=6,
+            rows in proptest::collection::vec((0u8..=255, 0u8..=255), 40..160),
+            picks in proptest::collection::vec(
+                (0usize..6, 0usize..EVIDENCE.len()), 1..6),
+            max_bins in 3usize..10,
+            seed in 0u64..1000,
+        ) {
+            let (t, syms) = chain_table(width, &rows);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = RelationModel::train(&t, &syms, width, max_bins, &mut rng);
+            prop_assert!(tree_depth(&m) >= 2, "structure {:?}", m.structure());
+            let parsed: Vec<ValueConstraint> = EVIDENCE
+                .iter()
+                .map(|e| parse_value_constraint(e).unwrap())
+                .collect();
+            let mut evidence: Vec<Option<Vec<f64>>> = vec![None; width];
+            prop_assert_eq!(
+                m.probability_with_weights(&evidence).to_bits(),
+                reference_probability(&m, &evidence).to_bits()
+            );
+            for (col, e) in picks {
+                let col = col % width;
+                let w = m.column_weights(col as u32, &parsed[e]);
+                match &mut evidence[col] {
+                    Some(existing) => {
+                        for (x, y) in existing.iter_mut().zip(&w) {
+                            *x *= y;
+                        }
+                    }
+                    slot => *slot = Some(w),
+                }
+                let fast = m.probability_with_weights(&evidence);
+                let slow = reference_probability(&m, &evidence);
+                prop_assert_eq!(fast.to_bits(), slow.to_bits(), "{} vs {}", fast, slow);
+            }
+        }
     }
 
     #[test]

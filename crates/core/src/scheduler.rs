@@ -30,24 +30,36 @@
 //!   candidates are covered by a greedy minimum set cover of failing
 //!   filters.
 //!
+//! ## Incremental scoring
+//!
+//! Every greedy engine keeps one score cache per run. After each applied
+//! verdict (or batch), [`reconcile`] invalidates exactly the scores in the
+//! verdict's dependency cone, and selection recomputes only those; every
+//! other score is reused as stored, and selection takes the best ones from
+//! a ranking of the stored scores instead of sorting them all. A cached
+//! score always equals a fresh one, so caching cannot change a pick (debug
+//! builds recompute every pending score at every selection and assert
+//! this).
+//!
 //! ## Sequential vs. parallel
 //!
-//! [`run_greedy`] validates one filter per greedy round. [`run_greedy_parallel`]
-//! picks a *batch* of top-scoring, mutually **non-implying** filters per
-//! round (no batch member can resolve another through success/failure
-//! propagation, so decomposition pruning loses nothing to concurrency) and
-//! validates the batch on the [`crate::parallel`] worker pool. Validation
-//! outcomes are ground truth — independent of order — so both engines
-//! accept the **identical candidate set** for every [`SchedulerKind`];
-//! only wall-clock time and the validation interleaving (hence the
-//! validation *counts*) may differ.
+//! [`Engine::Greedy`] at one thread validates one filter per greedy round.
+//! At more threads it picks a *batch* of top-scoring, mutually
+//! **non-implying** filters per round (no batch member can resolve another
+//! through success/failure propagation, so decomposition pruning loses
+//! nothing to concurrency) and validates the batch on the
+//! [`crate::parallel`] worker pool. Validation outcomes are ground truth —
+//! independent of order — so both engines accept the **identical candidate
+//! set** for every [`SchedulerKind`]; only wall-clock time and the
+//! validation interleaving (hence the validation *counts*) may differ.
 //!
 //! [`Engine::Pipelined`] goes one step further: instead of idling while
 //! the slowest validation of a round drains, the coordinator posts the
-//! batch as a detached round and *speculatively scores* the next batch
-//! against the current pruning state, reconciling stale scores when the
-//! verdicts land (see [`greedy_pipelined`]). Speculation can only waste
-//! work, never change the accept set.
+//! batch as a detached round and *speculatively scores* stale filters
+//! against the current pruning state, reconciling when the verdicts land
+//! (see [`greedy_pipelined`]). Since selection stores every score it
+//! computes, speculation finds little left to do. It can only waste work,
+//! never change the accept set.
 
 use crate::constraints::TargetConstraints;
 use crate::faults::{
@@ -60,7 +72,8 @@ use crate::validate::{validate_filter_cached, validate_filter_guarded, SlotEnv};
 use prism_bayes::BayesEstimator;
 use prism_db::{Database, ExecScratch, ExecStats};
 use prism_lang::ValueConstraint;
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -144,12 +157,35 @@ impl<'a> BayesModel<'a> {
     }
 }
 
+impl BayesModel<'_> {
+    /// [`BayesEstimator::relation_probability`] of `t` under `preds`,
+    /// memoized per `(sample, table, key)`; `key` names `preds` by
+    /// `(column, target)`.
+    fn relation_probability(
+        &self,
+        s: usize,
+        t: prism_db::TableId,
+        key: &PredSetKey,
+        preds: &[(u32, &ValueConstraint)],
+    ) -> f64 {
+        let cache_key = (s, t, key.clone());
+        if let Some(&p) = self.cache.relation.borrow().get(&cache_key) {
+            return p;
+        }
+        let p = self.estimator.relation_probability(t, preds);
+        self.cache.relation.borrow_mut().insert(cache_key, p);
+        p
+    }
+}
+
 impl FailureModel for BayesModel<'_> {
     /// `exp(-E[matches])` — the same Poisson zero class as
     /// [`BayesEstimator::failure_probability`], composed from the
     /// estimator's cacheable pieces (`relation_probability`,
-    /// `edge_factor`) with per-run memoization. A regression test asserts
-    /// bit-identical agreement with the uncached estimator call.
+    /// `edge_factor_with`) with per-run memoization: edge factors take
+    /// their endpoint probabilities from the same relation memo. A
+    /// regression test asserts bit-identical agreement with the uncached
+    /// estimator call.
     fn failure_probability(&self, db: &Database, fs: &FilterSet, f: FilterId) -> f64 {
         let filter = fs.filter(f);
         let s = filter.sample;
@@ -173,14 +209,7 @@ impl FailureModel for BayesModel<'_> {
             }
             expected *= rows;
             if let Some((key, preds)) = by_table.get(&t) {
-                let cache_key = (s, t, key.clone());
-                let cached = self.cache.relation.borrow().get(&cache_key).copied();
-                let p = cached.unwrap_or_else(|| {
-                    let p = self.estimator.relation_probability(t, preds);
-                    self.cache.relation.borrow_mut().insert(cache_key, p);
-                    p
-                });
-                expected *= p;
+                expected *= self.relation_probability(s, t, key, preds);
             }
         }
         if expected > 0.0 {
@@ -192,7 +221,12 @@ impl FailureModel for BayesModel<'_> {
                 let cache_key = (s, eid, ka.clone(), kb.clone());
                 let cached = self.cache.edge.borrow().get(&cache_key).copied();
                 let factor = cached.unwrap_or_else(|| {
-                    let x = self.estimator.edge_factor(db, eid, pa, pb);
+                    let x = self
+                        .estimator
+                        .edge_factor_with(db, eid, pa, pb, |t, preds| {
+                            let key = if t == edge.a.table { ka } else { kb };
+                            self.relation_probability(s, t, key, preds)
+                        });
                     self.cache.edge.borrow_mut().insert(cache_key, x);
                     x
                 });
@@ -361,9 +395,7 @@ pub enum Engine<'m> {
     },
 }
 
-/// The one entry point for running a schedule. `run_greedy`,
-/// `run_greedy_parallel` and `run_naive` are thin deprecated wrappers over
-/// [`Scheduler::run`].
+/// The one entry point for running a schedule.
 pub struct Scheduler;
 
 impl Scheduler {
@@ -393,20 +425,22 @@ struct RunState {
     /// ever *required* are top resolutions (for acceptance) and one failing
     /// filter per doomed candidate (for rejection).
     unresolved_tops: Vec<u32>,
+    /// Candidates still `Alive`: the loop's termination test without a
+    /// scan over `cstate`.
+    live: usize,
     /// Executor scratch reused across every validation the coordinator
     /// runs itself (sequential engines); pool workers hold their own.
     scratch: ExecScratch,
     /// Filters and candidates whose scheduling state changed since the
-    /// last [`reconcile`] — the pipelined engine's staleness feed. `None`
-    /// (phased engines) makes logging a no-op.
-    changelog: Option<ChangeLog>,
+    /// last [`reconcile`] — the score cache's staleness feed.
+    changelog: ChangeLog,
     outcome: ScheduleOutcome,
 }
 
 /// What changed while a round's verdicts were applied: the inputs of
 /// [`Scoring::score`] are exactly per-filter state (`fstate`) and
 /// per-candidate state (aliveness, `unresolved_tops`), so recording these
-/// two id streams lets [`reconcile`] invalidate precisely the speculative
+/// two id streams lets [`reconcile`] invalidate precisely the cached
 /// scores the verdicts could have changed. Duplicates are fine — touching
 /// is idempotent.
 #[derive(Default)]
@@ -422,8 +456,9 @@ impl RunState {
             fstate: vec![FState::Pending; ctx.fs.len()],
             cstate: vec![CState::Alive; n_cands],
             unresolved_tops: ctx.fs.tops.iter().map(|v| v.len() as u32).collect(),
+            live: n_cands,
             scratch: ExecScratch::new(),
-            changelog: None,
+            changelog: ChangeLog::default(),
             outcome: ScheduleOutcome::default(),
         };
         // Step-1 pre-validated filters start out succeeded (no propagation
@@ -441,6 +476,10 @@ impl RunState {
         for c in 0..n_cands {
             state.check_acceptance(ctx, c as u32);
         }
+        // Nothing is cached yet, so the initial resolutions need no
+        // reconciliation.
+        state.changelog.filters.clear();
+        state.changelog.candidates.clear();
         state
     }
 
@@ -448,8 +487,19 @@ impl RunState {
         self.cstate[c as usize] == CState::Alive
     }
 
-    fn any_alive(&self) -> bool {
-        self.cstate.contains(&CState::Alive)
+    /// The pending filters, in id order.
+    fn pending(&self) -> impl Iterator<Item = FilterId> + '_ {
+        (0..self.fstate.len() as u32)
+            .map(FilterId)
+            .filter(|f| self.fstate[f.index()] == FState::Pending)
+    }
+
+    /// Move alive candidate `c` to its final state `to`.
+    fn retire(&mut self, c: u32, to: CState) {
+        debug_assert!(self.alive(c) && to != CState::Alive);
+        self.cstate[c as usize] = to;
+        self.live -= 1;
+        self.log_candidate(c);
     }
 
     /// `t` is still pending and is an unresolved top of some alive
@@ -462,16 +512,12 @@ impl RunState {
 
     #[inline]
     fn log_filter(&mut self, f: FilterId) {
-        if let Some(log) = &mut self.changelog {
-            log.filters.push(f);
-        }
+        self.changelog.filters.push(f);
     }
 
     #[inline]
     fn log_candidate(&mut self, c: u32) {
-        if let Some(log) = &mut self.changelog {
-            log.candidates.push(c);
-        }
+        self.changelog.candidates.push(c);
     }
 
     /// Mark `f` succeeded; propagate to subfilters; update acceptance.
@@ -511,9 +557,8 @@ impl RunState {
             self.log_candidate(c);
         }
         for &c in &ctx.fs.filter(f).members {
-            if self.cstate[c as usize] == CState::Alive {
-                self.cstate[c as usize] = CState::Failed;
-                self.log_candidate(c);
+            if self.alive(c) {
+                self.retire(c, CState::Failed);
             }
         }
         for &s in &ctx.fs.filter(f).superfilters {
@@ -538,8 +583,7 @@ impl RunState {
             .iter()
             .all(|t| self.fstate[t.index()] == FState::Succeeded);
         if all_tops_ok {
-            self.cstate[c as usize] = CState::Accepted;
-            self.log_candidate(c);
+            self.retire(c, CState::Accepted);
             self.outcome.accepted.push(c);
         }
     }
@@ -559,8 +603,8 @@ impl RunState {
         for &c in &ctx.fs.filter(f).top_for {
             self.unresolved_tops[c as usize] -= 1;
             self.log_candidate(c);
-            if self.cstate[c as usize] == CState::Alive {
-                self.cstate[c as usize] = CState::Abandoned;
+            if self.alive(c) {
+                self.retire(c, CState::Abandoned);
                 abandoned.push(c);
             }
         }
@@ -745,11 +789,12 @@ impl<'m> Scoring<'m> {
     }
 }
 
-/// Epoch-tagged score cache for the pipelined engine. Every entry records
-/// the epoch it was computed at; [`reconcile`] bumps the epoch and stamps
-/// `touched` on exactly the filters whose score inputs the drained round's
-/// verdicts changed, so staleness is an O(1) comparison — no diffing, no
-/// whole-batch invalidation.
+/// Epoch-tagged score cache, one per greedy run, with the run's scores
+/// ranked best first. Every entry records the epoch it was computed at;
+/// [`reconcile`] bumps the epoch and stamps `touched` on exactly the
+/// filters whose score inputs the applied verdicts changed, so staleness
+/// is an O(1) comparison, and queues them for rescoring before the next
+/// selection. No other score is ever recomputed.
 struct ScoreCache {
     /// Current reconciliation epoch; starts at 1 so `computed == 0` can
     /// mean "never computed".
@@ -764,7 +809,43 @@ struct ScoreCache {
     /// selection — [`reconcile`] counts it wasted (older marks are inert,
     /// the score was either read or invalidated long ago).
     spec: Vec<u64>,
+    /// Filters to rescore before the next selection: every filter at
+    /// first, then the ones [`reconcile`] invalidated.
+    dirty: Vec<FilterId>,
+    /// One entry per stored relevant score, best first. An entry is
+    /// current while its filter is pending and its score is the cached
+    /// one; superseded entries are dropped when they reach the top.
+    ranked: BinaryHeap<Ranked>,
 }
+
+/// A stored score in selection order: score descending, then id ascending.
+#[derive(Clone, Copy)]
+struct Ranked {
+    score: f64,
+    f: FilterId,
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Ranked) -> Ordering {
+        self.score
+            .total_cmp(&other.score)
+            .then(other.f.cmp(&self.f))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Ranked) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Ranked) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
 
 impl ScoreCache {
     fn new(n_filters: usize) -> ScoreCache {
@@ -774,6 +855,8 @@ impl ScoreCache {
             computed: vec![0; n_filters],
             touched: vec![0; n_filters],
             spec: vec![0; n_filters],
+            dirty: (0..n_filters as u32).map(FilterId).collect(),
+            ranked: BinaryHeap::new(),
         }
     }
 
@@ -784,10 +867,54 @@ impl ScoreCache {
         self.computed[i] != 0 && self.computed[i] >= self.touched[i]
     }
 
+    /// Cache `score` for `f` and rank it; irrelevant filters
+    /// (`NEG_INFINITY`) are never ranked.
     fn store(&mut self, f: FilterId, score: f64) {
         let i = f.index();
         self.score[i] = score;
         self.computed[i] = self.epoch;
+        if score != f64::NEG_INFINITY {
+            self.ranked.push(Ranked { score, f });
+        }
+    }
+
+    /// Rescore every pending dirty filter, so that each pending filter's
+    /// cached score is current. Debug builds then recompute every pending
+    /// filter's score and assert it bit-identical to the cached one, which
+    /// audits that [`reconcile`]'s touch set covers every score a state
+    /// change can reach.
+    fn refresh(&mut self, ctx: &SchedCtx<'_>, state: &RunState, scoring: &mut Scoring<'_>) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for &f in &dirty {
+            if state.fstate[f.index()] == FState::Pending && !self.valid(f) {
+                self.store(f, scoring.score(ctx, state, ctx.fs.filter(f)));
+            }
+        }
+        dirty.clear();
+        self.dirty = dirty;
+        #[cfg(debug_assertions)]
+        for f in state.pending() {
+            let fresh = scoring.score(ctx, state, ctx.fs.filter(f));
+            let cached = self.score[f.index()];
+            assert_eq!(
+                fresh.to_bits(),
+                cached.to_bits(),
+                "stale cached score for {f:?}: {cached} cached, {fresh} fresh"
+            );
+        }
+    }
+
+    /// Remove and return the best current entry, dropping superseded ones
+    /// on the way. `None` = no pending filter is relevant.
+    fn pop_best(&mut self, state: &RunState) -> Option<Ranked> {
+        while let Some(top) = self.ranked.pop() {
+            let i = top.f.index();
+            if state.fstate[i] == FState::Pending && self.score[i].to_bits() == top.score.to_bits()
+            {
+                return Some(top);
+            }
+        }
+        None
     }
 }
 
@@ -820,102 +947,103 @@ fn block_implication_closure(fs: &FilterSet, from: FilterId, blocked: &mut [bool
     }
 }
 
-/// Pick up to `max` pending filters for the next round, highest score
-/// first, mutually non-implying. `max == 1` reproduces the sequential
-/// greedy pick exactly. Empty result = scheduling is done.
+/// Pick up to `max` pending filters for the next round, mutually
+/// non-implying: the best positive scores among pending filters relevant
+/// to an alive candidate (see [`Scoring::score`]), score descending, then
+/// id. If nothing scores positive (all remaining candidates are expected
+/// to succeed and only non-top information filters are cheap), the
+/// cheapest unresolved alive tops — the required work — cost ascending,
+/// then id; if there are none, the best-scoring information filter, whose
+/// resolution still guarantees loop progress. Empty result = scheduling
+/// is done.
 ///
-/// With a [`ScoreCache`] (the pipelined engine), valid cached scores —
-/// speculative ones that survived reconciliation — are used as-is; a
-/// cache-valid score always equals what a fresh computation would
-/// produce, so caching cannot change the pick. Selection itself never
-/// stores: only [`speculate`], running inside a drain window, populates
-/// the cache, so every cache hit here is scoring work that was genuinely
-/// moved off the critical path (and the synchronous remainder is exactly
-/// the entries reconciliation invalidated).
+/// Scores come from the run's [`ScoreCache`]: a cached score always
+/// equals what a fresh computation would produce, so caching cannot
+/// change the pick, and only the scores [`reconcile`] invalidated are
+/// recomputed.
 fn select_batch(
     ctx: &SchedCtx<'_>,
     state: &RunState,
     scoring: &mut Scoring<'_>,
     max: usize,
-    cache: Option<&ScoreCache>,
+    cache: &mut ScoreCache,
 ) -> Vec<FilterId> {
     let fs = ctx.fs;
-    // Score every pending filter relevant to an alive candidate (see
-    // [`Scoring::score`] for the benefit accounting; NEG_INFINITY =
-    // irrelevant, skipped exactly like the pre-cache code skipped
-    // kills_saved == 0).
-    let mut scored: Vec<(f64, FilterId)> = Vec::new();
-    for f in &fs.filters {
-        if state.fstate[f.id.index()] != FState::Pending {
-            continue;
-        }
-        let score = match cache {
-            Some(c) if c.valid(f.id) => c.score[f.id.index()],
-            _ => scoring.score(ctx, state, f),
-        };
-        if score == f64::NEG_INFINITY {
-            continue; // irrelevant: no alive candidate contains f
-        }
-        scored.push((score, f.id));
-    }
-    if scored.is_empty() {
-        return Vec::new();
-    }
-    let mut blocked = vec![false; fs.len()];
+    cache.refresh(ctx, state, scoring);
+    // Debug builds check the ranking against a scan of the cached scores.
+    #[cfg(debug_assertions)]
+    let scanned_best = state
+        .pending()
+        .map(|f| Ranked {
+            score: cache.score[f.index()],
+            f,
+        })
+        .filter(|r| r.score != f64::NEG_INFINITY)
+        .max()
+        .map(|r| r.f);
     let mut batch: Vec<FilterId> = Vec::with_capacity(max);
-    // Positive scores first, best score winning (id breaks ties, matching
-    // the sequential argmax).
-    scored.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1)));
-    for &(score, f) in &scored {
-        if score <= 0.0 || batch.len() >= max {
+    // Filled only once a second batch slot is in play.
+    let mut blocked: Vec<bool> = Vec::new();
+    let mut admit = |f: FilterId, batch: &mut Vec<FilterId>| {
+        if max > 1 {
+            if blocked.is_empty() {
+                blocked = vec![false; fs.len()];
+            }
+            if blocked[f.index()] {
+                return;
+            }
+            block_implication_closure(fs, f, &mut blocked);
+        }
+        batch.push(f);
+    };
+    // Entries taken off the ranking stay current; they go back after.
+    let mut popped: Vec<Ranked> = Vec::new();
+    while batch.len() < max {
+        let Some(top) = cache.pop_best(state) else {
+            break;
+        };
+        popped.push(top);
+        if top.score <= 0.0 {
             break;
         }
-        if !blocked[f.index()] {
-            block_implication_closure(fs, f, &mut blocked);
-            batch.push(f);
-        }
+        admit(top.f, &mut batch);
     }
+    let best = popped.first().map(|r| r.f);
+    #[cfg(debug_assertions)]
+    assert_eq!(best, scanned_best, "the ranking lost the best score");
+    cache.ranked.extend(popped);
+    let Some(best) = best else {
+        return batch; // no pending filter is relevant
+    };
     if !batch.is_empty() {
         return batch;
     }
-    // Nothing scores positive (all remaining candidates are expected to
-    // succeed and only non-top information filters are cheap): fall through
-    // to the cheapest unresolved alive tops — the required work.
-    let mut required: Vec<(f64, FilterId)> = fs
-        .filters
-        .iter()
-        .filter(|f| {
-            state.fstate[f.id.index()] == FState::Pending && state.is_alive_pending_top(fs, f.id)
-        })
-        .map(|f| {
-            let c = scoring.cost.get(f.id, || filter_cost(ctx.db, fs, f.id));
-            (c, f.id)
-        })
+    let mut required: Vec<(f64, FilterId)> = state
+        .pending()
+        .filter(|&f| state.is_alive_pending_top(fs, f))
+        .map(|f| (scoring.cost.get(f, || filter_cost(ctx.db, fs, f)), f))
         .collect();
     required.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)));
     for &(_, f) in &required {
         if batch.len() >= max {
             break;
         }
-        if !blocked[f.index()] {
-            block_implication_closure(fs, f, &mut blocked);
-            batch.push(f);
-        }
+        admit(f, &mut batch);
     }
     if batch.is_empty() {
-        // Degenerate: only information filters remain. Validate the best
-        // one anyway — marking it resolved guarantees loop progress.
-        batch.push(scored[0].1);
+        batch.push(best);
     }
     batch
 }
 
 /// The greedy filter schedule, one validation per round, on the calling
-/// thread.
+/// thread. After each verdict only the scores in its dependency cone are
+/// recomputed (see [`reconcile`]).
 fn greedy_sequential(ctx: &SchedCtx<'_>, model: &dyn FailureModel) -> ScheduleOutcome {
     let fs = ctx.fs;
     let mut state = RunState::new(ctx);
     let mut scoring = Scoring::new(model, fs.len());
+    let mut cache = ScoreCache::new(fs.len());
     loop {
         if let Some(d) = ctx.deadline {
             if Instant::now() >= d {
@@ -923,12 +1051,13 @@ fn greedy_sequential(ctx: &SchedCtx<'_>, model: &dyn FailureModel) -> ScheduleOu
                 break;
             }
         }
-        if !state.any_alive() {
+        if state.live == 0 {
             break;
         }
-        let batch = select_batch(ctx, &state, &mut scoring, 1, None);
+        let batch = select_batch(ctx, &state, &mut scoring, 1, &mut cache);
         let Some(&pick) = batch.first() else { break };
         state.validate_now(ctx, pick);
+        reconcile(fs, &mut state, &mut cache);
     }
     state.finish()
 }
@@ -948,22 +1077,24 @@ fn greedy_parallel(
     let fs = ctx.fs;
     let mut state = RunState::new(ctx);
     let mut scoring = Scoring::new(model, fs.len());
+    let mut cache = ScoreCache::new(fs.len());
     let (state, report) = validate_with_pool(ctx, threads, ctx.deadline, |pool| {
         loop {
             if pool.deadline_expired() {
                 state.outcome.timed_out = true;
                 break;
             }
-            if !state.any_alive() {
+            if state.live == 0 {
                 break;
             }
-            let batch = select_batch(ctx, &state, &mut scoring, threads, None);
+            let batch = select_batch(ctx, &state, &mut scoring, threads, &mut cache);
             if batch.is_empty() {
                 break;
             }
             for (f, verdict) in batch.iter().zip(pool.run(&batch)) {
                 state.apply_slot(ctx, *f, verdict);
             }
+            reconcile(fs, &mut state, &mut cache);
         }
         state
     });
@@ -977,7 +1108,9 @@ fn greedy_parallel(
 }
 
 /// Speculatively score every pending, not-in-flight filter whose cached
-/// score is stale, while the posted round drains on the pool. Observes the
+/// score is stale, while the posted round drains on the pool. Selection
+/// stores every score it computes and nothing changes between a selection
+/// and the drain, so this finds nothing stale in practice. Observes the
 /// cooperative deadline *per score* — a deadline firing mid-speculation
 /// raises the cancel flag immediately, so workers skip their remaining
 /// validations within one validation slot, exactly as in the phased path.
@@ -1030,25 +1163,26 @@ fn speculate(
     (computed, injected)
 }
 
-/// Reconcile the score cache with the changes the drained round's verdicts
-/// made to the pruning state, and count the speculative scores they
-/// invalidated. The touch set is exactly the dependency cone of
-/// [`Scoring::score`]:
+/// Reconcile the score cache with the changes the applied verdicts made to
+/// the pruning state, and count the speculative scores they invalidated.
+/// The touch set is exactly the dependency cone of [`Scoring::score`],
+/// which reads `f`'s members (aliveness, `unresolved_tops`) and the
+/// pending-top status (`fstate`, aliveness of `top_for`) of `f` and of its
+/// subfilters:
 ///
 /// * a filter `g` whose `fstate` changed invalidates `g` itself and its
-///   direct superfilters (which count `g` in their `tops_resolved`);
+///   superfilters (which test `g` as a subfilter);
 /// * a candidate `c` whose aliveness or `unresolved_tops` changed
 ///   invalidates every filter of `c` (`per_candidate[c]` ⊇ all filters
-///   with `c` in `members` or `top_for`) and each of *their* direct
-///   superfilters (which see `c` through a subfilter's pending-top test).
+///   with `c` in `members` or `top_for`) and the superfilters of `c`'s
+///   top filters (which test them as subfilters, reading `c`'s
+///   aliveness through their `top_for`).
 ///
 /// Everything else a score reads (`P_fail`, `filter_cost`) is pure, so
 /// untouched cache entries remain exactly what a fresh computation would
 /// produce.
 fn reconcile(fs: &FilterSet, state: &mut RunState, cache: &mut ScoreCache) -> u64 {
-    let Some(log) = state.changelog.as_mut() else {
-        return 0;
-    };
+    let log = &mut state.changelog;
     let prev = cache.epoch;
     cache.epoch += 1;
     let mut wasted = 0u64;
@@ -1060,7 +1194,10 @@ fn reconcile(fs: &FilterSet, state: &mut RunState, cache: &mut ScoreCache) -> u6
             wasted += 1;
             cache.spec[i] = 0;
         }
-        cache.touched[i] = cache.epoch;
+        if cache.touched[i] != cache.epoch {
+            cache.touched[i] = cache.epoch;
+            cache.dirty.push(f);
+        }
     };
     for &f in &log.filters {
         touch(cache, f);
@@ -1071,7 +1208,9 @@ fn reconcile(fs: &FilterSet, state: &mut RunState, cache: &mut ScoreCache) -> u6
     for &c in &log.candidates {
         for &f in &fs.per_candidate[c as usize] {
             touch(cache, f);
-            for &s in &fs.filter(f).superfilters {
+        }
+        for &t in &fs.tops[c as usize] {
+            for &s in &fs.filter(t).superfilters {
                 touch(cache, s);
             }
         }
@@ -1100,7 +1239,6 @@ fn greedy_pipelined(
 ) -> ScheduleOutcome {
     let fs = ctx.fs;
     let mut state = RunState::new(ctx);
-    state.changelog = Some(ChangeLog::default());
     let mut scoring = Scoring::new(model, fs.len());
     let mut cache = ScoreCache::new(fs.len());
     let mut in_flight = vec![false; fs.len()];
@@ -1111,10 +1249,10 @@ fn greedy_pipelined(
                 state.outcome.timed_out = true;
                 break;
             }
-            if !state.any_alive() {
+            if state.live == 0 {
                 break;
             }
-            let batch = select_batch(ctx, &state, &mut scoring, workers, Some(&cache));
+            let batch = select_batch(ctx, &state, &mut scoring, workers, &mut cache);
             if batch.is_empty() {
                 break;
             }
@@ -1180,54 +1318,6 @@ fn naive_schedule(ctx: &SchedCtx<'_>) -> ScheduleOutcome {
         state.check_acceptance(ctx, c as u32);
     }
     state.finish()
-}
-
-/// Run the greedy filter schedule with the given failure model, one
-/// validation per round, on the calling thread.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `Scheduler::run(&ctx, Engine::Greedy { model, threads: 1 })`"
-)]
-pub fn run_greedy(
-    db: &Database,
-    constraints: &TargetConstraints,
-    fs: &FilterSet,
-    model: &dyn FailureModel,
-    deadline: Option<Instant>,
-) -> ScheduleOutcome {
-    let ctx = SchedCtx::new(db, constraints, fs).with_deadline(deadline);
-    Scheduler::run(&ctx, Engine::Greedy { model, threads: 1 })
-}
-
-/// Run the greedy filter schedule with batches of mutually non-implying
-/// validations on `threads` worker threads (`<= 1` = the sequential path).
-#[deprecated(
-    since = "0.6.0",
-    note = "use `Scheduler::run(&ctx, Engine::Greedy { model, threads })`"
-)]
-pub fn run_greedy_parallel(
-    db: &Database,
-    constraints: &TargetConstraints,
-    fs: &FilterSet,
-    model: &dyn FailureModel,
-    deadline: Option<Instant>,
-    threads: usize,
-) -> ScheduleOutcome {
-    let ctx = SchedCtx::new(db, constraints, fs).with_deadline(deadline);
-    Scheduler::run(&ctx, Engine::Greedy { model, threads })
-}
-
-/// Naive whole-query validation: each candidate's top filters in
-/// enumeration order, no decomposition, no sharing.
-#[deprecated(since = "0.6.0", note = "use `Scheduler::run(&ctx, Engine::Naive)`")]
-pub fn run_naive(
-    db: &Database,
-    constraints: &TargetConstraints,
-    fs: &FilterSet,
-    deadline: Option<Instant>,
-) -> ScheduleOutcome {
-    let ctx = SchedCtx::new(db, constraints, fs).with_deadline(deadline);
-    Scheduler::run(&ctx, Engine::Naive)
 }
 
 /// Ground-truth outcome of every filter, memoized. Not counted as
@@ -1383,8 +1473,7 @@ mod tests {
         Some(s.to_string())
     }
 
-    // The tests drive everything through the one public entry point; these
-    // shadow the deprecated free functions of the same names.
+    // The tests drive everything through the one public entry point.
     fn run_greedy(
         db: &Database,
         constraints: &TargetConstraints,
@@ -1601,29 +1690,73 @@ mod tests {
         assert_eq!(strip_plans(&seq.exec), strip_plans(&one.exec));
     }
 
-    /// The cached Bayes scoring composes the estimator's public pieces
-    /// (`relation_probability`, `edge_factor`) with memoization keyed by
-    /// `(sample, target)` — it must agree bit-for-bit with the monolithic
-    /// `BayesEstimator::failure_probability`, twice (cache hits included).
-    #[test]
-    fn cached_bayes_scoring_matches_the_uncached_estimator() {
-        let s = walkthrough();
-        let (_, fs) = prepare(&s);
-        let est = prism_bayes::BayesEstimator::train(&s.db, &TrainConfig::default());
-        let model = BayesModel::new(&est, &s.tc);
+    /// Asserts that the cached Bayes scoring agrees bit for bit with the
+    /// monolithic `BayesEstimator::failure_probability` on every filter of
+    /// `fs`, twice (cache hits included).
+    fn assert_cached_bayes_matches(
+        db: &Database,
+        est: &prism_bayes::BayesEstimator,
+        tc: &TargetConstraints,
+        fs: &FilterSet,
+    ) {
+        let model = BayesModel::new(est, tc);
         for _round in 0..2 {
             for f in &fs.filters {
-                let sample = &s.tc.samples[f.sample];
+                let sample = &tc.samples[f.sample];
                 let preds: Vec<(prism_db::ColumnRef, &prism_lang::ValueConstraint)> = f
                     .preds
                     .iter()
                     .map(|(target, col)| (*col, sample.cell(*target).expect("constrained")))
                     .collect();
-                let direct = est.failure_probability(&s.db, &f.tree, &preds);
-                let cached = model.failure_probability(&s.db, &fs, f.id);
+                let direct = est.failure_probability(db, &f.tree, &preds);
+                let cached = model.failure_probability(db, fs, f.id);
                 assert_eq!(direct.to_bits(), cached.to_bits(), "filter {:?}", f.id);
             }
         }
+    }
+
+    /// The cached Bayes scoring composes the estimator's public pieces
+    /// (`relation_probability`, `edge_factor_with`) with memoization keyed
+    /// by `(sample, target)`, and edge factors take their endpoint
+    /// probabilities from the relation memo. Beyond the walk-through, taskgen
+    /// tasks over Mondial and NBA at every resolution supply filters whose
+    /// trees have two or more edges, where one endpoint's memo entry serves
+    /// several edges.
+    #[test]
+    fn cached_bayes_scoring_matches_the_uncached_estimator() {
+        use prism_datasets::{nba, Resolution, TaskGenConfig, TaskGenerator};
+        use rand::SeedableRng;
+        let s = walkthrough();
+        let (_, fs) = prepare(&s);
+        let est = prism_bayes::BayesEstimator::train(&s.db, &TrainConfig::default());
+        assert_cached_bayes_matches(&s.db, &est, &s.tc, &fs);
+        let config = DiscoveryConfig::default();
+        let mut deep_filters = 0;
+        for db in [mondial(42, 1), nba(42, 1)] {
+            let est = prism_bayes::BayesEstimator::train(&db, &TrainConfig::default());
+            let taskgen = TaskGenerator::new(&db, TaskGenConfig::default());
+            let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+            for resolution in Resolution::ALL {
+                for task in taskgen.generate_many(resolution, 2, &mut rng) {
+                    let tc =
+                        TargetConstraints::parse(task.column_count, &task.samples, &task.metadata)
+                            .unwrap();
+                    let rel = find_related(&db, &tc, &config);
+                    let cands = enumerate_candidates(&db, &rel, &config, None).candidates;
+                    let fs = build_filters(&db, &cands, &tc, None);
+                    deep_filters += fs
+                        .filters
+                        .iter()
+                        .filter(|f| f.tree.edges.len() >= 2)
+                        .count();
+                    assert_cached_bayes_matches(&db, &est, &tc, &fs);
+                }
+            }
+        }
+        assert!(
+            deep_filters > 0,
+            "taskgen supplies trees with two or more edges"
+        );
     }
 
     /// Satellite: plan compilation and scratch allocation amortize — one
@@ -1683,7 +1816,8 @@ mod tests {
         let ctx = SchedCtx::new(&s.db, &s.tc, &fs);
         let state = RunState::new(&ctx);
         let mut scoring = Scoring::new(&PathLengthModel, fs.len());
-        let batch = select_batch(&ctx, &state, &mut scoring, 8, None);
+        let mut cache = ScoreCache::new(fs.len());
+        let batch = select_batch(&ctx, &state, &mut scoring, 8, &mut cache);
         assert!(batch.len() > 1, "walkthrough offers parallel work");
         for (i, &a) in batch.iter().enumerate() {
             let mut blocked = vec![false; fs.len()];
@@ -1723,11 +1857,11 @@ mod tests {
                 "path-length @ {threads} threads"
             );
             assert!(!pipe.timed_out);
-            // Counter invariants (satellite): the pipeline really
-            // overlapped rounds, really moved scoring into the drain
-            // windows, and waste never exceeds what was scored.
+            // Counter invariants: the pipeline really overlapped rounds,
+            // selection stores every score it computes so speculation
+            // finds nothing stale, and waste never exceeds what was scored.
             assert!(pipe.rounds_overlapped > 0, "@ {threads} threads");
-            assert!(pipe.speculative_scores > 0, "@ {threads} threads");
+            assert_eq!(pipe.speculative_scores, 0, "@ {threads} threads");
             assert!(
                 pipe.speculative_wasted <= pipe.speculative_scores,
                 "wasted {} > scored {} @ {threads} threads",
@@ -1840,25 +1974,45 @@ mod tests {
         assert!(multi > single);
     }
 
-    /// The deprecated free functions are pure delegation: same inputs,
-    /// bit-identical accepted sets and validation counts as the
-    /// [`Scheduler::run`] calls they forward to.
+    /// Two-row tasks with blank cells reach the part of the reconcile cone
+    /// that single-row tasks never do: a candidate killed through one
+    /// sample's filter leaves its other sample's top pending, and the
+    /// scores of that top's superfilters must still be invalidated. Debug
+    /// builds audit every cached score each pick reads (these seeds trip
+    /// the audit when the cone omits those superfilters); the accept sets
+    /// must also equal the oracle's.
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_the_scheduler_entry_point() {
-        let s = walkthrough();
-        let (_, fs) = prepare(&s);
-        let new = run_greedy(&s.db, &s.tc, &fs, &PathLengthModel, None);
-        let old = super::run_greedy(&s.db, &s.tc, &fs, &PathLengthModel, None);
-        assert_eq!(new.accepted, old.accepted);
-        assert_eq!(new.validations, old.validations);
-        let new = run_naive(&s.db, &s.tc, &fs, None);
-        let old = super::run_naive(&s.db, &s.tc, &fs, None);
-        assert_eq!(new.accepted, old.accepted);
-        assert_eq!(new.validations, old.validations);
-        let new = run_greedy_parallel(&s.db, &s.tc, &fs, &PathLengthModel, None, 4);
-        let old = super::run_greedy_parallel(&s.db, &s.tc, &fs, &PathLengthModel, None, 4);
-        assert_eq!(new.accepted, old.accepted);
+    fn multi_sample_tasks_keep_the_score_cache_exact() {
+        use prism_datasets::{Resolution, TaskGenConfig, TaskGenerator};
+        use rand::SeedableRng;
+        let db = mondial(42, 1);
+        let est = prism_bayes::BayesEstimator::train(&db, &TrainConfig::default());
+        let config = DiscoveryConfig::default();
+        let two_rows = TaskGenConfig {
+            sample_rows: 2,
+            ..TaskGenConfig::default()
+        };
+        let taskgen = TaskGenerator::new(&db, two_rows);
+        for seed in [2, 6, 12, 14] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for task in taskgen.generate_many(Resolution::Missing, 1, &mut rng) {
+                let tc = TargetConstraints::parse(task.column_count, &task.samples, &task.metadata)
+                    .unwrap();
+                let rel = find_related(&db, &tc, &config);
+                let cands = enumerate_candidates(&db, &rel, &config, None).candidates;
+                let fs = build_filters(&db, &cands, &tc, None);
+                let (_, truth) = oracle_schedule(&db, &tc, &fs);
+                let bayes = BayesModel::new(&est, &tc);
+                let models: [&dyn FailureModel; 2] = [&PathLengthModel, &bayes];
+                for model in models {
+                    for threads in [1, 4] {
+                        let ctx = SchedCtx::new(&db, &tc, &fs);
+                        let outcome = Scheduler::run(&ctx, Engine::Greedy { model, threads });
+                        assert_eq!(outcome.accepted, truth.accepted, "seed {seed}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
