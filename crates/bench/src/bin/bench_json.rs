@@ -35,7 +35,7 @@
 use prism_bayes::{BayesEstimator, TrainConfig};
 use prism_bench::{resolution_sweep, scheduling_cases, scheduling_comparison, timed};
 use prism_core::scheduler::{BayesModel, Engine, SchedCtx, Scheduler};
-use prism_core::{DiscoveryConfig, DiscoveryService, SessionConfig, SessionHandle};
+use prism_core::{DiscoveryConfig, DiscoveryService, SessionHandle};
 use prism_datasets::{imdb, mondial, Resolution};
 use prism_db::{ExecScratch, ExecStats, JoinCond, PjQuery, ScanPred};
 use std::sync::Arc;
@@ -190,11 +190,6 @@ fn main() {
     // Cheap (mondial scale 1), so it runs in the smoke leg too — CI gates
     // on the warm sessions compiling zero plans.
     service_bench(&phase);
-
-    // Phased-vs-pipelined round scheduling through the service layer
-    // (appended to BENCH_service.json). Cheap, and the pipeline gate runs
-    // in the smoke leg on multi-core machines.
-    pipeline_bench(&phase);
 
     // Join-ordering on adversarial skew (BENCH_join.json). Also cheap, and
     // the cost-over-fixed gate runs in the smoke leg.
@@ -443,116 +438,6 @@ fn service_bench(phase: &str) {
             "fault-free gate passed: {} rounds, 0 faults injected, 0 degraded",
             sessions + 1
         );
-    }
-}
-
-/// Pipeline bench (appended to `BENCH_service.json`): phased vs pipelined
-/// round scheduling on one warm [`DiscoveryService`] at [`PAR_THREADS`]
-/// validation threads. A cold round compiles every query class into the
-/// shared cache, then the two modes run interleaved (machine drift hits
-/// both alike) — each repetition times one phased round
-/// (`pipeline: false`, the exact pre-pipeline path) and one pipelined
-/// round — and medians are reported. The accepted query count is asserted
-/// identical every repetition. On one core the coordinator's overlap
-/// cannot buy wall-clock, so `"speedup"` records `null` there and
-/// `PRISM_BENCH_MIN_PIPELINE_SPEEDUP=<x>` (which exits non-zero unless
-/// pipelined throughput ≥ x · phased) only gates on multi-core machines.
-fn pipeline_bench(phase: &str) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let db = Arc::new(mondial(42, 1));
-    let total_rows = db.total_rows();
-    let engine = |pipeline: bool| DiscoveryConfig {
-        validation_threads: PAR_THREADS,
-        pipeline,
-        ..DiscoveryConfig::default()
-    };
-    let svc = DiscoveryService::with_thread_budget(Arc::clone(&db), engine(true), PAR_THREADS);
-    let round = |pipeline: bool| {
-        let mut s = svc.open_session(SessionConfig {
-            target_columns: 3,
-            sample_rows: 1,
-            with_metadata: true,
-            discovery: engine(pipeline),
-        });
-        s.set_sample_cell(0, 0, "California || Nevada").unwrap();
-        s.set_sample_cell(0, 1, "Lake Tahoe").unwrap();
-        s.set_metadata_cell(2, "DataType=='decimal' AND MinValue>='0'")
-            .unwrap();
-        let (queries, wall) = timed(|| {
-            s.start_searching().unwrap();
-            s.result().expect("round ran").queries.len()
-        });
-        let stats = s.result().expect("round ran").stats.clone();
-        (queries, stats, wall)
-    };
-
-    // Cold round: fills the shared plan cache so the timed repetitions
-    // compare scheduling, not compilation.
-    let (expected_queries, _, _) = round(false);
-    assert!(expected_queries > 0, "walkthrough discovers queries");
-
-    let mut phased_ms: Vec<f64> = Vec::new();
-    let mut pipelined_ms: Vec<f64> = Vec::new();
-    let mut overlap = (0u64, 0u64, 0u64);
-    for _ in 0..REPS {
-        let (q, stats, wall) = round(false);
-        assert_eq!(q, expected_queries, "phased round diverged");
-        assert_eq!(stats.rounds_overlapped, 0, "phased round must not overlap");
-        phased_ms.push(wall.as_secs_f64() * 1e3);
-        let (q, stats, wall) = round(true);
-        assert_eq!(q, expected_queries, "pipelined round diverged");
-        overlap = (
-            stats.rounds_overlapped,
-            stats.speculative_scores,
-            stats.speculative_wasted,
-        );
-        pipelined_ms.push(wall.as_secs_f64() * 1e3);
-    }
-    let phased_median = median(&mut phased_ms);
-    let pipelined_median = median(&mut pipelined_ms);
-    let phased_rounds_per_s = 1e3 / phased_median;
-    let pipelined_rounds_per_s = 1e3 / pipelined_median;
-    // Honesty: on one core the overlap is time-sliced, not concurrent —
-    // record `null` and let the gate skip (mirrors BENCH_parallel).
-    let speedup_field = if cores > 1 {
-        format!("{:.3}", pipelined_rounds_per_s / phased_rounds_per_s)
-    } else {
-        "null".to_string()
-    };
-    let entry = format!(
-        "{{\n    \"phase\": \"{phase}\",\n    \"database\": \"mondial\",\n    \
-         \"scale\": 1,\n    \"total_rows\": {total_rows},\n    \
-         \"cores\": {cores},\n    \"threads\": {PAR_THREADS},\n    \
-         \"reps\": {REPS},\n    \
-         \"phased_round_ms\": {phased_median:.3},\n    \
-         \"pipelined_round_ms\": {pipelined_median:.3},\n    \
-         \"phased_rounds_per_s\": {phased_rounds_per_s:.2},\n    \
-         \"pipelined_rounds_per_s\": {pipelined_rounds_per_s:.2},\n    \
-         \"speedup\": {speedup_field},\n    \
-         \"rounds_overlapped\": {},\n    \
-         \"speculative_scores\": {},\n    \
-         \"speculative_wasted\": {}\n  }}",
-        overlap.0, overlap.1, overlap.2,
-    );
-    append_entry("BENCH_service.json", &entry);
-    println!("appended phase `{phase}` to BENCH_service.json:\n{entry}");
-
-    if let Ok(min) = std::env::var("PRISM_BENCH_MIN_PIPELINE_SPEEDUP") {
-        if cores > 1 {
-            let min: f64 = min
-                .parse()
-                .expect("PRISM_BENCH_MIN_PIPELINE_SPEEDUP is a number");
-            let speedup = pipelined_rounds_per_s / phased_rounds_per_s;
-            assert!(
-                speedup >= min,
-                "pipelined rounds at {speedup:.2}x phased, need >= {min}x"
-            );
-            println!("pipeline-speedup gate passed: {speedup:.2}x >= {min}x");
-        } else {
-            println!("pipeline-speedup gate skipped: {cores} core(s) detected");
-        }
     }
 }
 

@@ -25,20 +25,14 @@ pub struct DiscoveryConfig {
     pub result_limit: usize,
     /// Which filter-validation scheduler to use.
     pub scheduler: SchedulerKind,
-    /// Worker threads for the parallel validation engine (greedy
-    /// schedulers only; `Naive` and `Oracle` are inherently sequential).
-    /// `1` selects the single-threaded greedy loop with no pool. Defaults
-    /// to the `PRISM_VALIDATION_THREADS` environment variable when set,
-    /// otherwise to the machine's available parallelism.
+    /// The greedy loop's batch width: filters validated per round, on
+    /// that many pool workers (greedy schedulers only; `Naive` and
+    /// `Oracle` are inherently sequential). `1` validates one filter per
+    /// round inline, with no pool. Defaults to the
+    /// `PRISM_VALIDATION_THREADS` environment variable when set, otherwise
+    /// to the machine's available parallelism.
     pub validation_threads: usize,
-    /// Pipeline greedy scheduling across rounds: while a validation round
-    /// drains on the pool, the coordinator speculatively scores the next
-    /// batch and reconciles stale scores when the verdicts land.
-    /// Speculation can only waste work, never change the accept set.
-    /// `false` restores the exact phased score → validate → drain path.
-    /// Only effective with `validation_threads > 1` (the sequential loop
-    /// has nothing to overlap). Defaults to the `PRISM_PIPELINE`
-    /// environment variable (`off`/`0`/`false` disable), otherwise `true`.
+    /// Inert: no code reads it; kept so struct literals that set it compile.
     pub pipeline: bool,
     /// Deterministic fault injection for chaos testing ([`FaultSpec`]).
     /// `None` (the default when `PRISM_FAULT` is unset) disables injection
@@ -47,18 +41,6 @@ pub struct DiscoveryConfig {
     /// `PRISM_FAULT=panic:0.01:seed42` fires an injected panic in ~1% of
     /// injection-point visits, seeded so reruns fault identically.
     pub faults: Option<FaultSpec>,
-}
-
-/// Resolve the default pipelining switch: `PRISM_PIPELINE=off` (or `0` /
-/// `false`) pins the phased path — CI runs a whole test leg under it —
-/// and anything else leaves pipelining on.
-pub fn default_pipeline() -> bool {
-    !std::env::var("PRISM_PIPELINE")
-        .map(|s| {
-            let v = s.trim().to_ascii_lowercase();
-            v == "off" || v == "0" || v == "false"
-        })
-        .unwrap_or(false)
 }
 
 /// Resolve the default fault-injection spec from `PRISM_FAULT`. Unset,
@@ -92,7 +74,7 @@ impl Default for DiscoveryConfig {
             result_limit: 64,
             scheduler: SchedulerKind::Bayes,
             validation_threads: default_validation_threads(),
-            pipeline: default_pipeline(),
+            pipeline: false,
             faults: default_faults(),
         }
     }
@@ -134,22 +116,5 @@ mod tests {
         // must be impossible.
         assert!(DiscoveryConfig::default().validation_threads >= 1);
         assert!(default_validation_threads() >= 1);
-    }
-
-    #[test]
-    fn pipeline_env_spellings() {
-        // Can't set the process env from a test without racing other
-        // threads; exercise the parsing contract via the documented
-        // spellings instead. The default (no env) must be on.
-        for off in ["off", "0", "false", " OFF "] {
-            let v = off.trim().to_ascii_lowercase();
-            assert!(
-                v == "off" || v == "0" || v == "false",
-                "{off:?} should disable pipelining"
-            );
-        }
-        if std::env::var("PRISM_PIPELINE").is_err() {
-            assert!(default_pipeline(), "pipelining defaults to on");
-        }
     }
 }

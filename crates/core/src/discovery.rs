@@ -102,14 +102,6 @@ pub struct DiscoveryStats {
     /// Hindsight-optimal validations (populated for the Oracle scheduler,
     /// or on request via [`Discovery::run_with_oracle`]).
     pub oracle_validations: Option<u64>,
-    /// Validation rounds whose drain was overlapped with speculative
-    /// scoring (the pipelined engine; 0 under `pipeline: false`, one
-    /// validation thread, or the Naive/Oracle schedulers).
-    pub rounds_overlapped: u64,
-    /// Scores computed speculatively while a round drained.
-    pub speculative_scores: u64,
-    /// Speculative scores invalidated by reconciliation before use.
-    pub speculative_wasted: u64,
     /// Raw execution work.
     pub exec: ExecStats,
     /// Wall-clock time of the round.
@@ -298,22 +290,14 @@ pub(crate) fn run_round(
     stats.filters = fs.len();
     stats.truncated |= fs.truncated;
 
-    // Greedy schedulers run on the parallel validation engine; with
-    // `threads == 1` that is exactly the sequential loop. With
-    // `config.pipeline` (the default) and more than one thread, rounds
-    // are pipelined: scoring of the next batch overlaps the previous
-    // batch's validation drain. `PRISM_PIPELINE=off` restores the exact
-    // phased path.
+    // Greedy schedulers validate `threads` filters per round: one inline
+    // at `threads == 1`, a batch on the worker pool otherwise.
     let ctx = SchedCtx::new(db, constraints, &fs)
         .with_deadline(Some(deadline))
         .with_faults(config.faults.clone());
     let threads = opts.threads;
     let greedy = |model: &dyn crate::scheduler::FailureModel| {
-        if config.pipeline && threads > 1 {
-            Scheduler::run(&ctx, Engine::Pipelined { model, threads })
-        } else {
-            Scheduler::run(&ctx, Engine::Greedy { model, threads })
-        }
+        Scheduler::run(&ctx, Engine::Greedy { model, threads })
     };
     let outcome: ScheduleOutcome = match config.scheduler {
         SchedulerKind::Naive => Scheduler::run(&ctx, Engine::Naive),
@@ -336,9 +320,6 @@ pub(crate) fn run_round(
     stats.validations = outcome.validations;
     stats.implied_successes = outcome.implied_successes;
     stats.implied_failures = outcome.implied_failures;
-    stats.rounds_overlapped = outcome.rounds_overlapped;
-    stats.speculative_scores = outcome.speculative_scores;
-    stats.speculative_wasted = outcome.speculative_wasted;
     stats.exec = outcome.exec;
     stats.faults_injected = outcome.faults_injected;
     stats.fault_retries = outcome.fault_retries;

@@ -1,10 +1,10 @@
 //! The one error type of the public API.
 //!
-//! PR 6 consolidates what used to be three error surfaces — the session's
-//! `SessionError`, the constraint parser's [`ConstraintError`], and ad-hoc
-//! protocol strings ("no search has been run", "no result #i") — into a
-//! single [`enum@Error`] implementing [`std::error::Error`], re-exported
-//! from the facade crate. `SessionError` survives as a deprecated alias.
+//! One enum covers what used to be three error surfaces — the session's
+//! own error type, the constraint parser's [`ConstraintError`], and ad-hoc
+//! protocol strings ("no search has been run", "no result #i"): a single
+//! [`enum@Error`] implementing [`std::error::Error`], re-exported from the
+//! facade crate.
 
 use crate::constraints::ConstraintError;
 
@@ -66,7 +66,7 @@ mod tests {
 
     #[test]
     fn display_strings_are_stable() {
-        // The demo UI (and the old SessionError) rendered exactly these.
+        // The demo UI (and the old session error type) rendered exactly these.
         let cases: Vec<(Error, &str)> = vec![
             (
                 Error::OutOfRange { row: 5, column: 0 },

@@ -5,7 +5,7 @@
 //! that never returns. This module is the discovery-side half of that
 //! promise — the seeded injection primitives live in [`prism_db::faults`]
 //! (re-exported here) because `prism_db` and `prism_lang` host two of the
-//! four injection sites; this crate adds the types that carry a fault from
+//! three injection sites; this crate adds the types that carry a fault from
 //! a validation slot up to the [`crate::discovery::DiscoveryResult`]:
 //!
 //! * [`SlotVerdict`] — what one validation slot produced: a verdict, a

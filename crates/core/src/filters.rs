@@ -25,12 +25,12 @@
 //! why the paper performs keyword checks in Step 1 and defers joins to
 //! Step 2).
 //!
-//! The containment structure doubles as the pipelined scheduler's
+//! The containment structure doubles as the scheduler's score-cache
 //! reconciliation index ([`crate::scheduler`]): `per_candidate` maps a
 //! changed candidate back to every filter whose score reads it, and the
 //! direct `superfilters` edges bound the one extra hop a filter's score
-//! sees through its `subfilters` — so invalidating a speculative score is
-//! a local walk, never a whole-set sweep.
+//! sees through its `subfilters` — so invalidating a cached score is a
+//! local walk, never a whole-set sweep.
 
 use crate::candidates::Candidate;
 use crate::constraints::TargetConstraints;

@@ -24,15 +24,12 @@
 //!    trained [`prism_bayes::BayesEstimator`], `Oracle` computes the
 //!    hindsight optimum, `Naive` skips decomposition entirely.
 //!
-//! Greedy schedulers execute on the [`parallel`] validation engine — a
-//! scoped worker pool validating batches of mutually non-implying filters
-//! against the frozen database ([`config::DiscoveryConfig::validation_threads`];
-//! one thread = the exact sequential loop). With more than one thread,
-//! rounds are *pipelined* by default ([`config::DiscoveryConfig::pipeline`],
-//! `PRISM_PIPELINE=off` to disable): the coordinator speculatively scores
-//! the next batch while the previous one drains on the pool, reconciling
-//! stale scores when the verdicts land. Parallel, pipelined, and
-//! sequential runs provably accept identical candidate sets.
+//! Greedy schedulers run one loop whose batch width is
+//! [`config::DiscoveryConfig::validation_threads`]. Width 1 validates one
+//! filter per round inline on the calling thread; wider batches of
+//! mutually non-implying filters go to the [`parallel`] validation engine,
+//! a scoped worker pool over the frozen database. Every width provably
+//! accepts the identical candidate set.
 //!
 //! [`discovery::Discovery`] orchestrates both steps under an interactive
 //! time budget (the demo's 60-second limit), [`explain`] renders the
@@ -55,7 +52,7 @@ pub mod session;
 pub mod validate;
 
 pub use candidates::Candidate;
-pub use config::{default_faults, default_pipeline, default_validation_threads, DiscoveryConfig};
+pub use config::{default_faults, default_validation_threads, DiscoveryConfig};
 pub use constraints::TargetConstraints;
 pub use discovery::{DiscoveredQuery, Discovery, DiscoveryResult, DiscoveryStats};
 pub use error::Error;

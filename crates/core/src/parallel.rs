@@ -8,8 +8,10 @@
 //! pruning bookkeeping, which stays on the coordinator thread. That makes
 //! the engine's contract simple:
 //!
-//! * the coordinator picks a **batch** of mutually non-implying filters
-//!   (see [`crate::scheduler`]) and hands it to the pool;
+//! * the greedy loop picks a **batch** of mutually non-implying filters
+//!   (see [`crate::scheduler`]) and hands it to the pool through
+//!   [`BatchRunner::run`], which blocks until the round drains. Width 1
+//!   never gets here: it validates inline, with no pool;
 //! * each slot of the batch carries an atomic **claim**; a worker first
 //!   drains its home shard — slots `w, w + T, w + 2T, …` — then sweeps the
 //!   whole batch **stealing** any slot still unclaimed, so a worker stuck
@@ -21,9 +23,9 @@
 //!   interleaves workers — and regardless of who stole what;
 //! * each worker accumulates its own [`ExecStats`] and merges them into
 //!   the pool's total exactly once, at shutdown;
-//! * a cooperative [`CancelFlag`] replaces the sequential scheduler's
-//!   between-validations deadline check: the coordinator raises it when
-//!   the deadline passes, workers test it between validations and skip
+//! * a cooperative [`CancelFlag`] carries the deadline into a round: the
+//!   coordinator raises it when the deadline passes while the round
+//!   drains, workers test it between validations and skip
 //!   (rather than abort) the remaining work of the round. The flag is also
 //!   threaded *into* each worker's [`ExecScratch`], so the executor's
 //!   in-query step tick can interrupt a long scan mid-validation;
@@ -193,55 +195,11 @@ pub(crate) struct BatchRunner<'p> {
 }
 
 impl BatchRunner<'_> {
-    /// True once the deadline has passed (raising the cancel flag on the
-    /// first observation) or cancellation was requested externally.
-    pub fn deadline_expired(&self) -> bool {
-        if self.cancel.is_cancelled() {
-            return true;
-        }
-        if let Some(d) = self.deadline {
-            if Instant::now() >= d {
-                self.cancel.cancel();
-                return true;
-            }
-        }
-        false
-    }
-
     /// Validate `batch` across the pool and return per-slot verdicts in
-    /// batch order. Blocks until every slot is reported; with a deadline
-    /// set, the wait polls it so a long round raises the cancel flag for
-    /// the workers' between-validations checks (without one, the
-    /// coordinator parks until the workers' completion notify).
-    ///
-    /// This is the phased path: [`post`](Self::post) then immediately
-    /// [`wait_drain`](Self::wait_drain). The pipelined scheduler calls
-    /// them separately so it can speculate between the two.
-    pub fn run(&mut self, batch: &[FilterId]) -> Vec<SlotVerdict> {
-        self.post(batch);
-        self.wait_drain()
-    }
-
-    /// Hand `batch` to the pool as a detached round and return without
-    /// blocking: the round's verdict buffer doubles as its completion
-    /// queue, drained by [`wait_drain`](Self::wait_drain). At most one
-    /// round may be in flight per runner (pipeline depth 2: the
-    /// coordinator overlaps *scoring*, not a second validation round).
-    pub fn post(&mut self, batch: &[FilterId]) {
-        let mut g = self.shared.round.lock().expect("pool lock");
-        debug_assert_eq!(g.pending, 0, "a round is already in flight");
-        g.work = Some(Arc::new(RoundWork::new(batch)));
-        g.verdicts.clear();
-        g.verdicts.resize(batch.len(), SlotVerdict::Skipped);
-        g.pending = batch.len();
-        g.abandoned = false;
-        g.generation += 1;
-        self.shared.work.notify_all();
-    }
-
-    /// Block until the in-flight round posted by [`post`](Self::post) has
-    /// fully drained — or until the watchdog gives up on it — and return
-    /// its per-slot verdicts in batch order.
+    /// batch order. Blocks until every slot is reported — or until the
+    /// watchdog gives up on the round. Without a deadline the coordinator
+    /// parks until the workers' completion notify; with one, the wait
+    /// polls it.
     ///
     /// Watchdog escalation: at the deadline the cancel flag is raised
     /// (cooperative — workers skip unstarted slots, in-flight executors
@@ -251,8 +209,15 @@ impl BatchRunner<'_> {
     /// [`SlotVerdict::Skipped`] (unknown). Detached workers keep running
     /// harmlessly until their next report, which the generation/abandoned
     /// check discards.
-    pub fn wait_drain(&mut self) -> Vec<SlotVerdict> {
+    pub fn run(&mut self, batch: &[FilterId]) -> Vec<SlotVerdict> {
         let mut g = self.shared.round.lock().expect("pool lock");
+        g.work = Some(Arc::new(RoundWork::new(batch)));
+        g.verdicts.clear();
+        g.verdicts.resize(batch.len(), SlotVerdict::Skipped);
+        g.pending = batch.len();
+        g.abandoned = false;
+        g.generation += 1;
+        self.shared.work.notify_all();
         while g.pending > 0 {
             match self.deadline {
                 None => g = self.shared.done.wait(g).expect("pool lock"),

@@ -32,40 +32,30 @@
 //!
 //! ## Incremental scoring
 //!
-//! Every greedy engine keeps one score cache per run. After each applied
-//! verdict (or batch), [`reconcile`] invalidates exactly the scores in the
-//! verdict's dependency cone, and selection recomputes only those; every
-//! other score is reused as stored, and selection takes the best ones from
-//! a ranking of the stored scores instead of sorting them all. A cached
+//! The greedy loop keeps one score cache per run. After each round's
+//! verdicts are applied, [`reconcile`] invalidates exactly the scores in
+//! their dependency cone, and selection recomputes only those; every other
+//! score is reused as stored, and selection takes the best ones from a
+//! ranking of the stored scores instead of sorting them all. A cached
 //! score always equals a fresh one, so caching cannot change a pick (debug
 //! builds recompute every pending score at every selection and assert
 //! this).
 //!
-//! ## Sequential vs. parallel
+//! ## Batch width
 //!
-//! [`Engine::Greedy`] at one thread validates one filter per greedy round.
-//! At more threads it picks a *batch* of top-scoring, mutually
-//! **non-implying** filters per round (no batch member can resolve another
-//! through success/failure propagation, so decomposition pruning loses
-//! nothing to concurrency) and validates the batch on the
+//! [`Engine::Greedy`] runs one loop ([`greedy_rounds`]) whose batch width
+//! is its thread count. Width 1 validates one filter per round inline on
+//! the calling thread, with no pool. A wider round picks a *batch* of
+//! top-scoring, mutually **non-implying** filters (no batch member can
+//! resolve another through success/failure propagation, so decomposition
+//! pruning loses nothing to concurrency) and validates it on the
 //! [`crate::parallel`] worker pool. Validation outcomes are ground truth —
-//! independent of order — so both engines accept the **identical candidate
+//! independent of order — so every width accepts the **identical candidate
 //! set** for every [`SchedulerKind`]; only wall-clock time and the
 //! validation interleaving (hence the validation *counts*) may differ.
-//!
-//! [`Engine::Pipelined`] goes one step further: instead of idling while
-//! the slowest validation of a round drains, the coordinator posts the
-//! batch as a detached round and *speculatively scores* stale filters
-//! against the current pruning state, reconciling when the verdicts land
-//! (see [`greedy_pipelined`]). Since selection stores every score it
-//! computes, speculation finds little left to do. It can only waste work,
-//! never change the accept set.
 
 use crate::constraints::TargetConstraints;
-use crate::faults::{
-    delay_steps, injected_panic, FaultCounters, FaultKind, FaultNote, FaultSite, FaultSpec,
-    SlotVerdict,
-};
+use crate::faults::{FaultCounters, FaultNote, FaultSpec, SlotVerdict};
 use crate::filters::{Filter, FilterId, FilterSet};
 use crate::parallel::{validate_with_pool, BatchRunner};
 use crate::validate::{validate_filter_cached, validate_filter_guarded, SlotEnv};
@@ -74,7 +64,6 @@ use prism_db::{Database, ExecScratch, ExecStats};
 use prism_lang::ValueConstraint;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// Which validation strategy to use.
@@ -257,24 +246,19 @@ pub struct ScheduleOutcome {
     pub exec: ExecStats,
     /// Batch slots executed by a worker other than their home shard's
     /// owner (the work-stealing pool's load-balancing counter; always 0
-    /// for sequential engines and `threads <= 1`).
+    /// for `Naive` and `threads <= 1`).
     pub stolen: u64,
-    /// Validation rounds whose drain the coordinator overlapped with
-    /// speculative scoring of the next batch ([`Engine::Pipelined`] only;
-    /// phased engines report 0).
+    /// Inert: always 0, kept so callers that still read it compile.
     pub rounds_overlapped: u64,
-    /// Filter scores computed speculatively while a round drained on the
-    /// pool (phased engines report 0).
+    /// Inert: always 0, kept so callers that still read it compile.
     pub speculative_scores: u64,
-    /// Speculative scores invalidated by the drained round's verdicts
-    /// before the next batch selection could use them — the pipeline's
-    /// wasted work. Always `<= speculative_scores`.
+    /// Inert: always 0, kept so callers that still read it compile.
     pub speculative_wasted: u64,
     /// True if the deadline expired before every candidate was classified.
     pub timed_out: bool,
     /// Faults the injection layer fired across this run's validation
-    /// slots and speculative scorings (0 unless `PRISM_FAULT` /
-    /// [`SchedCtx::faults`] armed injection).
+    /// slots (0 unless `PRISM_FAULT` / [`SchedCtx::faults`] armed
+    /// injection).
     pub faults_injected: u64,
     /// Transient-fault retries performed by guarded validation slots.
     pub fault_retries: u64,
@@ -334,8 +318,8 @@ pub struct SchedCtx<'a> {
     pub fs: &'a FilterSet,
     /// Deadline after which the run reports `timed_out`; `None` = unbounded.
     pub deadline: Option<Instant>,
-    /// Deterministic fault injection for the `ValidationSlot` and
-    /// `SpeculativeScore` sites; `None` (the default) disables injection.
+    /// Deterministic fault injection for the `ValidationSlot` site; `None`
+    /// (the default) disables injection.
     pub faults: Option<FaultSpec>,
 }
 
@@ -369,26 +353,19 @@ impl<'a> SchedCtx<'a> {
 ///
 /// This is the single entry point's axis of variation: `Naive` is the
 /// paper's ablation A2 (whole queries, enumeration order), `Greedy` is the
-/// decomposed scheduler under any [`FailureModel`], sequential at
-/// `threads <= 1` and batched onto the work-stealing pool otherwise.
+/// decomposed scheduler under any [`FailureModel`], validating inline at
+/// `threads <= 1` and in batches on the work-stealing pool otherwise.
 pub enum Engine<'m> {
     /// Whole-query validation in enumeration order (no decomposition).
     Naive,
     /// Greedy decomposed scheduling under `model`, validating batches of
-    /// mutually non-implying filters on `threads` workers (`<= 1` = the
-    /// exact sequential path).
+    /// up to `threads` mutually non-implying filters per round (`<= 1` =
+    /// one filter per round, inline on the calling thread).
     Greedy {
         model: &'m dyn FailureModel,
         threads: usize,
     },
-    /// `Greedy`, pipelined across rounds: the coordinator posts a batch to
-    /// the pool as a detached round, speculatively scores the next batch
-    /// while it drains, and reconciles stale scores when the verdicts
-    /// land. One of `threads` is reserved for the coordinator itself, so
-    /// the pool runs `threads - 1` validation workers. Speculation can
-    /// only waste work, never change results: the accept set is identical
-    /// to `Greedy`'s. `threads <= 1` falls back to the exact sequential
-    /// path (a lone thread has nothing to overlap).
+    /// Inert alias of [`Engine::Greedy`], kept so callers that name it compile.
     Pipelined {
         model: &'m dyn FailureModel,
         threads: usize,
@@ -402,14 +379,9 @@ impl Scheduler {
     pub fn run(ctx: &SchedCtx<'_>, engine: Engine<'_>) -> ScheduleOutcome {
         match engine {
             Engine::Naive => naive_schedule(ctx),
-            Engine::Greedy { model, threads } if threads > 1 => {
-                greedy_parallel(ctx, model, threads)
+            Engine::Greedy { model, threads } | Engine::Pipelined { model, threads } => {
+                greedy(ctx, model, threads)
             }
-            Engine::Greedy { model, .. } => greedy_sequential(ctx, model),
-            Engine::Pipelined { model, threads } if threads > 1 => {
-                greedy_pipelined(ctx, model, threads)
-            }
-            Engine::Pipelined { model, .. } => greedy_sequential(ctx, model),
         }
     }
 }
@@ -429,7 +401,7 @@ struct RunState {
     /// scan over `cstate`.
     live: usize,
     /// Executor scratch reused across every validation the coordinator
-    /// runs itself (sequential engines); pool workers hold their own.
+    /// runs itself (width 1 and `Naive`); pool workers hold their own.
     scratch: ExecScratch,
     /// Filters and candidates whose scheduling state changed since the
     /// last [`reconcile`] — the score cache's staleness feed.
@@ -627,7 +599,7 @@ impl RunState {
     }
 
     /// Apply one slot's verdict from a guarded validation (pool or
-    /// sequential): ground truth propagates, a skip flags the timeout (the
+    /// inline): ground truth propagates, a skip flags the timeout (the
     /// filter stays pending), a fault resolves the filter as undecidable.
     fn apply_slot(&mut self, ctx: &SchedCtx<'_>, f: FilterId, v: SlotVerdict) {
         match v {
@@ -637,7 +609,7 @@ impl RunState {
         }
     }
 
-    /// Validate one filter on the coordinator thread (sequential engines),
+    /// Validate one filter on the coordinator thread (width 1 and `Naive`),
     /// through the filter set's shared plan cache and this run's scratch —
     /// fault-contained exactly like a pool slot, with the run deadline
     /// armed so the executor's step tick can interrupt a scan mid-filter.
@@ -731,10 +703,10 @@ impl Memo {
     }
 }
 
-/// The scoring context shared by every greedy engine: the failure model
-/// plus per-run [`Memo`]s of the two pure per-filter quantities
-/// (`P_fail`, `filter_cost`). The memos never go stale — only the
-/// *composed* score depends on mutable pruning state.
+/// The greedy loop's scoring context: the failure model plus per-run
+/// [`Memo`]s of the two pure per-filter quantities (`P_fail`,
+/// `filter_cost`). The memos never go stale — only the *composed* score
+/// depends on mutable pruning state.
 struct Scoring<'m> {
     model: &'m dyn FailureModel,
     p_fail: Memo,
@@ -804,11 +776,6 @@ struct ScoreCache {
     computed: Vec<u64>,
     /// Epoch each filter was last invalidated at.
     touched: Vec<u64>,
-    /// Epoch each filter was last speculatively scored at. A mark equal
-    /// to the epoch just closed means the score never survived to a
-    /// selection — [`reconcile`] counts it wasted (older marks are inert,
-    /// the score was either read or invalidated long ago).
-    spec: Vec<u64>,
     /// Filters to rescore before the next selection: every filter at
     /// first, then the ones [`reconcile`] invalidated.
     dirty: Vec<FilterId>,
@@ -854,7 +821,6 @@ impl ScoreCache {
             score: vec![0.0; n_filters],
             computed: vec![0; n_filters],
             touched: vec![0; n_filters],
-            spec: vec![0; n_filters],
             dirty: (0..n_filters as u32).map(FilterId).collect(),
             ranked: BinaryHeap::new(),
         }
@@ -1036,139 +1002,73 @@ fn select_batch(
     batch
 }
 
-/// The greedy filter schedule, one validation per round, on the calling
-/// thread. After each verdict only the scores in its dependency cone are
-/// recomputed (see [`reconcile`]).
-fn greedy_sequential(ctx: &SchedCtx<'_>, model: &dyn FailureModel) -> ScheduleOutcome {
-    let fs = ctx.fs;
+/// The greedy filter schedule at batch width `threads`. Width 1 runs
+/// [`greedy_rounds`] inline on the calling thread, with no pool; wider
+/// batches run it against the work-stealing pool, whose merged counters
+/// are folded into the outcome when it shuts down.
+///
+/// Every width accepts the identical candidate set for the same inputs —
+/// outcomes are ground truth, and batch members cannot resolve each other
+/// — while validation *counts* may differ slightly: a batch is committed
+/// before its own verdicts can reprioritize the next round.
+fn greedy(ctx: &SchedCtx<'_>, model: &dyn FailureModel, threads: usize) -> ScheduleOutcome {
     let mut state = RunState::new(ctx);
+    if threads <= 1 {
+        greedy_rounds(ctx, model, 1, &mut state, None);
+    } else {
+        let ((), report) = validate_with_pool(ctx, threads, ctx.deadline, |pool| {
+            greedy_rounds(ctx, model, threads, &mut state, Some(pool))
+        });
+        state.outcome.exec.merge(&report.exec);
+        state.outcome.stolen = report.stolen;
+        state.outcome.faults_injected += report.faults.injected;
+        state.outcome.fault_retries += report.faults.retries;
+        state.outcome.rounds_abandoned += report.rounds_abandoned;
+    }
+    state.finish()
+}
+
+/// The one greedy loop: select up to `width` mutually non-implying
+/// filters, validate them — inline when `pool` is `None` (width 1), else
+/// as one pool round — apply the verdicts in batch order, and rescore only
+/// the dependency cone of what changed (see [`reconcile`]).
+fn greedy_rounds(
+    ctx: &SchedCtx<'_>,
+    model: &dyn FailureModel,
+    width: usize,
+    state: &mut RunState,
+    mut pool: Option<&mut BatchRunner<'_>>,
+) {
+    let fs = ctx.fs;
     let mut scoring = Scoring::new(model, fs.len());
     let mut cache = ScoreCache::new(fs.len());
     loop {
-        if let Some(d) = ctx.deadline {
-            if Instant::now() >= d {
-                state.outcome.timed_out = true;
-                break;
-            }
+        if ctx.deadline.is_some_and(|d| Instant::now() >= d) {
+            state.outcome.timed_out = true;
+            break;
         }
         if state.live == 0 {
             break;
         }
-        let batch = select_batch(ctx, &state, &mut scoring, 1, &mut cache);
+        let batch = select_batch(ctx, state, &mut scoring, width, &mut cache);
         let Some(&pick) = batch.first() else { break };
-        state.validate_now(ctx, pick);
-        reconcile(fs, &mut state, &mut cache);
+        match pool.as_deref_mut() {
+            None => state.validate_now(ctx, pick),
+            Some(pool) => {
+                for (f, verdict) in batch.iter().zip(pool.run(&batch)) {
+                    state.apply_slot(ctx, *f, verdict);
+                }
+            }
+        }
+        reconcile(fs, state, &mut cache);
     }
-    state.finish()
-}
-
-/// The greedy filter schedule with batches of mutually non-implying
-/// validations on the work-stealing pool.
-///
-/// Accepts the identical candidate set as the sequential path for the same
-/// inputs — outcomes are ground truth, and batch members cannot resolve
-/// each other — while validation *counts* may differ slightly: a batch is
-/// committed before its own verdicts can reprioritize the next round.
-fn greedy_parallel(
-    ctx: &SchedCtx<'_>,
-    model: &dyn FailureModel,
-    threads: usize,
-) -> ScheduleOutcome {
-    let fs = ctx.fs;
-    let mut state = RunState::new(ctx);
-    let mut scoring = Scoring::new(model, fs.len());
-    let mut cache = ScoreCache::new(fs.len());
-    let (state, report) = validate_with_pool(ctx, threads, ctx.deadline, |pool| {
-        loop {
-            if pool.deadline_expired() {
-                state.outcome.timed_out = true;
-                break;
-            }
-            if state.live == 0 {
-                break;
-            }
-            let batch = select_batch(ctx, &state, &mut scoring, threads, &mut cache);
-            if batch.is_empty() {
-                break;
-            }
-            for (f, verdict) in batch.iter().zip(pool.run(&batch)) {
-                state.apply_slot(ctx, *f, verdict);
-            }
-            reconcile(fs, &mut state, &mut cache);
-        }
-        state
-    });
-    let mut state = state;
-    state.outcome.exec.merge(&report.exec);
-    state.outcome.stolen = report.stolen;
-    state.outcome.faults_injected += report.faults.injected;
-    state.outcome.fault_retries += report.faults.retries;
-    state.outcome.rounds_abandoned += report.rounds_abandoned;
-    state.finish()
-}
-
-/// Speculatively score every pending, not-in-flight filter whose cached
-/// score is stale, while the posted round drains on the pool. Selection
-/// stores every score it computes and nothing changes between a selection
-/// and the drain, so this finds nothing stale in practice. Observes the
-/// cooperative deadline *per score* — a deadline firing mid-speculation
-/// raises the cancel flag immediately, so workers skip their remaining
-/// validations within one validation slot, exactly as in the phased path.
-///
-/// Speculation is fault-contained at the `SpeculativeScore` injection
-/// site: a panic while scoring (injected or real) simply leaves that
-/// filter's cache entry unpopulated — [`select_batch`] recomputes it
-/// synchronously, so a scoring fault can cost time but never a verdict.
-/// Returns `(scores computed, faults injected)`.
-fn speculate(
-    ctx: &SchedCtx<'_>,
-    state: &RunState,
-    scoring: &mut Scoring<'_>,
-    cache: &mut ScoreCache,
-    pool: &BatchRunner<'_>,
-    in_flight: &[bool],
-) -> (u64, u64) {
-    let mut computed = 0u64;
-    let mut injected = 0u64;
-    for f in &ctx.fs.filters {
-        let i = f.id.index();
-        if state.fstate[i] != FState::Pending || in_flight[i] || cache.valid(f.id) {
-            continue;
-        }
-        if pool.deadline_expired() {
-            break;
-        }
-        let fired = ctx
-            .faults
-            .as_ref()
-            .and_then(|s| s.check(FaultSite::SpeculativeScore, i as u64));
-        if fired.is_some() {
-            injected += 1;
-        }
-        let scored = catch_unwind(AssertUnwindSafe(|| {
-            match fired {
-                Some(FaultKind::Panic) => injected_panic(FaultSite::SpeculativeScore, i as u64),
-                Some(FaultKind::Delay) => delay_steps(1024),
-                // Scoring has no retry budget; a transient here is a no-op.
-                Some(FaultKind::Transient) | None => {}
-            }
-            scoring.score(ctx, state, f)
-        }));
-        if let Ok(s) = scored {
-            cache.store(f.id, s);
-            cache.spec[i] = cache.epoch;
-            computed += 1;
-        }
-    }
-    (computed, injected)
 }
 
 /// Reconcile the score cache with the changes the applied verdicts made to
-/// the pruning state, and count the speculative scores they invalidated.
-/// The touch set is exactly the dependency cone of [`Scoring::score`],
-/// which reads `f`'s members (aliveness, `unresolved_tops`) and the
-/// pending-top status (`fstate`, aliveness of `top_for`) of `f` and of its
-/// subfilters:
+/// the pruning state. The touch set is exactly the dependency cone of
+/// [`Scoring::score`], which reads `f`'s members (aliveness,
+/// `unresolved_tops`) and the pending-top status (`fstate`, aliveness of
+/// `top_for`) of `f` and of its subfilters:
 ///
 /// * a filter `g` whose `fstate` changed invalidates `g` itself and its
 ///   superfilters (which test `g` as a subfilter);
@@ -1181,19 +1081,11 @@ fn speculate(
 /// Everything else a score reads (`P_fail`, `filter_cost`) is pure, so
 /// untouched cache entries remain exactly what a fresh computation would
 /// produce.
-fn reconcile(fs: &FilterSet, state: &mut RunState, cache: &mut ScoreCache) -> u64 {
+fn reconcile(fs: &FilterSet, state: &mut RunState, cache: &mut ScoreCache) {
     let log = &mut state.changelog;
-    let prev = cache.epoch;
     cache.epoch += 1;
-    let mut wasted = 0u64;
-    let mut touch = |cache: &mut ScoreCache, f: FilterId| {
+    let touch = |cache: &mut ScoreCache, f: FilterId| {
         let i = f.index();
-        if cache.spec[i] == prev {
-            // Speculated during the round that just drained and
-            // invalidated before any selection could read it.
-            wasted += 1;
-            cache.spec[i] = 0;
-        }
         if cache.touched[i] != cache.epoch {
             cache.touched[i] = cache.epoch;
             cache.dirty.push(f);
@@ -1217,73 +1109,6 @@ fn reconcile(fs: &FilterSet, state: &mut RunState, cache: &mut ScoreCache) -> u6
     }
     log.filters.clear();
     log.candidates.clear();
-    wasted
-}
-
-/// The pipelined greedy schedule: post a batch to the pool as a detached
-/// round, speculatively score the next batch while it drains, reconcile
-/// when the verdicts land. The coordinator reserves one of `threads` for
-/// itself (it is genuinely busy scoring while the round drains), so the
-/// pool runs `threads - 1` validation workers.
-///
-/// Accepts the identical candidate set as the phased engines: verdicts
-/// are ground truth (schedule-order-independent), batch members are
-/// mutually non-implying exactly as in [`greedy_parallel`], and a
-/// cache-valid score always equals a fresh one ([`reconcile`] invalidates
-/// every score a verdict could have changed). Speculation only moves
-/// scoring work into the drain window — or wastes it.
-fn greedy_pipelined(
-    ctx: &SchedCtx<'_>,
-    model: &dyn FailureModel,
-    threads: usize,
-) -> ScheduleOutcome {
-    let fs = ctx.fs;
-    let mut state = RunState::new(ctx);
-    let mut scoring = Scoring::new(model, fs.len());
-    let mut cache = ScoreCache::new(fs.len());
-    let mut in_flight = vec![false; fs.len()];
-    let workers = (threads - 1).max(1);
-    let (state, report) = validate_with_pool(ctx, workers, ctx.deadline, |pool| {
-        loop {
-            if pool.deadline_expired() {
-                state.outcome.timed_out = true;
-                break;
-            }
-            if state.live == 0 {
-                break;
-            }
-            let batch = select_batch(ctx, &state, &mut scoring, workers, &mut cache);
-            if batch.is_empty() {
-                break;
-            }
-            for &f in &batch {
-                in_flight[f.index()] = true;
-            }
-            pool.post(&batch);
-            state.outcome.rounds_overlapped += 1;
-            // The overlap window: the pool validates while we score.
-            let (computed, injected) =
-                speculate(ctx, &state, &mut scoring, &mut cache, pool, &in_flight);
-            state.outcome.speculative_scores += computed;
-            state.outcome.faults_injected += injected;
-            let verdicts = pool.wait_drain();
-            for &f in &batch {
-                in_flight[f.index()] = false;
-            }
-            for (f, verdict) in batch.iter().zip(verdicts) {
-                state.apply_slot(ctx, *f, verdict);
-            }
-            state.outcome.speculative_wasted += reconcile(fs, &mut state, &mut cache);
-        }
-        state
-    });
-    let mut state = state;
-    state.outcome.exec.merge(&report.exec);
-    state.outcome.stolen = report.stolen;
-    state.outcome.faults_injected += report.faults.injected;
-    state.outcome.fault_retries += report.faults.retries;
-    state.outcome.rounds_abandoned += report.rounds_abandoned;
-    state.finish()
 }
 
 /// Naive whole-query validation: each candidate's top filters in
@@ -1831,113 +1656,30 @@ mod tests {
         }
     }
 
-    fn run_pipelined(
-        db: &Database,
-        constraints: &TargetConstraints,
-        fs: &FilterSet,
-        model: &dyn FailureModel,
-        deadline: Option<Instant>,
-        threads: usize,
-    ) -> ScheduleOutcome {
-        let ctx = SchedCtx::new(db, constraints, fs).with_deadline(deadline);
-        Scheduler::run(&ctx, Engine::Pipelined { model, threads })
-    }
-
+    /// `Engine::Pipelined` is an inert alias: at every width it runs the
+    /// greedy loop, so its picks and counters are `Greedy`'s, and the
+    /// inert speculation counters stay 0.
     #[test]
-    fn pipelined_engine_accepts_the_identical_candidate_set() {
+    fn pipelined_is_an_inert_alias_of_greedy() {
         let s = walkthrough();
         let (_, fs) = prepare(&s);
-        let est = prism_bayes::BayesEstimator::train(&s.db, &TrainConfig::default());
-        let seq_path = run_greedy(&s.db, &s.tc, &fs, &PathLengthModel, None);
-        let seq_bayes = run_greedy(&s.db, &s.tc, &fs, &BayesModel::new(&est, &s.tc), None);
-        for threads in [2, 4, 8] {
-            let pipe = run_pipelined(&s.db, &s.tc, &fs, &PathLengthModel, None, threads);
-            assert_eq!(
-                seq_path.accepted, pipe.accepted,
-                "path-length @ {threads} threads"
-            );
-            assert!(!pipe.timed_out);
-            // Counter invariants: the pipeline really overlapped rounds,
-            // selection stores every score it computes so speculation
-            // finds nothing stale, and waste never exceeds what was scored.
-            assert!(pipe.rounds_overlapped > 0, "@ {threads} threads");
-            assert_eq!(pipe.speculative_scores, 0, "@ {threads} threads");
-            assert!(
-                pipe.speculative_wasted <= pipe.speculative_scores,
-                "wasted {} > scored {} @ {threads} threads",
-                pipe.speculative_wasted,
-                pipe.speculative_scores,
-            );
-            let pipe_bayes = run_pipelined(
-                &s.db,
-                &s.tc,
-                &fs,
-                &BayesModel::new(&est, &s.tc),
-                None,
-                threads,
-            );
-            assert_eq!(
-                seq_bayes.accepted, pipe_bayes.accepted,
-                "bayes @ {threads} threads"
-            );
-        }
-        // Phased engines report zero pipeline activity.
-        for phased in [
-            &seq_path,
-            &run_greedy_parallel(&s.db, &s.tc, &fs, &PathLengthModel, None, 4),
-            &run_naive(&s.db, &s.tc, &fs, None),
-        ] {
-            assert_eq!(phased.rounds_overlapped, 0);
-            assert_eq!(phased.speculative_scores, 0);
-            assert_eq!(phased.speculative_wasted, 0);
-        }
-    }
-
-    #[test]
-    fn pipelined_with_one_thread_is_the_sequential_path() {
-        let s = walkthrough();
-        let (_, fs) = prepare(&s);
-        let seq = run_greedy(&s.db, &s.tc, &fs, &PathLengthModel, None);
-        let one = run_pipelined(&s.db, &s.tc, &fs, &PathLengthModel, None, 1);
-        // Bit-for-bit identical outcome: one thread takes the exact
-        // sequential code path, no pool, no speculation.
-        assert_eq!(seq.accepted, one.accepted);
-        assert_eq!(seq.validations, one.validations);
-        assert_eq!(seq.implied_successes, one.implied_successes);
-        assert_eq!(seq.implied_failures, one.implied_failures);
-        assert_eq!(one.rounds_overlapped, 0);
-        assert_eq!(one.speculative_scores, 0);
-        let strip_plans = |e: &ExecStats| ExecStats {
-            plans_built: 0,
-            nodes_reordered: 0,
-            plan_recompiles: 0,
-            ..*e
-        };
-        assert_eq!(strip_plans(&seq.exec), strip_plans(&one.exec));
-    }
-
-    /// Satellite regression: the deadline must fire within one validation
-    /// slot even when the coordinator is mid-speculation — `speculate`
-    /// polls the cooperative flag per score, so a near-zero deadline
-    /// cancels the round instead of letting speculation run to the end of
-    /// the pending set first.
-    #[test]
-    fn pipelined_deadline_cancels_cooperatively() {
-        let s = walkthrough();
-        let (cands, fs) = prepare(&s);
-        for deadline in [
-            Instant::now() - std::time::Duration::from_millis(1),
-            Instant::now() + std::time::Duration::from_micros(50),
-        ] {
-            let start = Instant::now();
-            let outcome = run_pipelined(&s.db, &s.tc, &fs, &PathLengthModel, Some(deadline), 4);
-            assert!(outcome.timed_out);
-            // Cooperative, not instant — but nowhere near a full run.
-            assert!(start.elapsed() < std::time::Duration::from_secs(5));
-            // Soundness under interruption, as in the phased engines.
-            for &c in &outcome.accepted {
-                let rows = cands[c as usize].query.execute(&s.db, 100_000).unwrap();
-                assert!(!rows.is_empty());
+        let ctx = SchedCtx::new(&s.db, &s.tc, &fs);
+        let model = &PathLengthModel;
+        for threads in [1, 4] {
+            let greedy = Scheduler::run(&ctx, Engine::Greedy { model, threads });
+            let alias = Scheduler::run(&ctx, Engine::Pipelined { model, threads });
+            assert!(!greedy.accepted.is_empty());
+            assert_eq!(greedy.accepted, alias.accepted, "@ {threads} threads");
+            assert_eq!(greedy.validations, alias.validations, "@ {threads} threads");
+            assert_eq!(greedy.implied_successes, alias.implied_successes);
+            assert_eq!(greedy.implied_failures, alias.implied_failures);
+            for o in [&greedy, &alias] {
+                let speculation = (
+                    o.rounds_overlapped,
+                    o.speculative_scores,
+                    o.speculative_wasted,
+                );
+                assert_eq!(speculation, (0, 0, 0), "@ {threads} threads");
             }
         }
     }

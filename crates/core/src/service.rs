@@ -280,11 +280,9 @@ impl SessionHandle {
     /// workers from the service budget, runs a round through the shared
     /// plan cache, and stores the Result section.
     ///
-    /// The lease spans the whole round, overlapping pipelined scheduling
-    /// rounds included: under `config.pipeline` the coordinator occupies
-    /// one granted slot itself (it scores speculatively while a batch
-    /// drains) and the pool runs on the remaining `threads - 1`, so the
-    /// budget's accounting is unchanged by pipelining.
+    /// The lease spans the whole round, and the granted thread count is
+    /// the round's batch width: one grant validates inline, more run as
+    /// many pool workers.
     ///
     /// Fault isolation: the round runs inside a panic boundary. The
     /// validation stack already contains per-slot faults ([`DiscoveryResult`]
@@ -487,43 +485,6 @@ mod tests {
         drop(b);
         drop(a);
         assert_eq!(budget.available(), 4, "all leases returned");
-    }
-
-    #[test]
-    fn pipelined_sessions_overlap_rounds_and_match_phased_results() {
-        let keys = |r: &DiscoveryResult| {
-            let mut k: Vec<String> = r.queries.iter().map(|q| q.key.clone()).collect();
-            k.sort();
-            k
-        };
-        let db = Arc::new(mondial(42, 1));
-        let pipelined = DiscoveryConfig {
-            validation_threads: 4,
-            pipeline: true,
-            ..DiscoveryConfig::with_scheduler(SchedulerKind::PathLength)
-        };
-        let svc = DiscoveryService::new(Arc::clone(&db), pipelined);
-        let mut session = svc.open_default_session();
-        describe(&mut session);
-        let on = session.start_searching().unwrap().clone();
-        assert!(
-            on.stats.rounds_overlapped > 0,
-            "a 4-thread pipelined round overlaps"
-        );
-        assert!(on.stats.speculative_wasted <= on.stats.speculative_scores);
-
-        let phased = DiscoveryConfig {
-            validation_threads: 4,
-            pipeline: false,
-            ..DiscoveryConfig::with_scheduler(SchedulerKind::PathLength)
-        };
-        let svc = DiscoveryService::new(db, phased);
-        let mut session = svc.open_default_session();
-        describe(&mut session);
-        let off = session.start_searching().unwrap().clone();
-        assert_eq!(off.stats.rounds_overlapped, 0, "phased mode never overlaps");
-        assert_eq!(off.stats.speculative_scores, 0);
-        assert_eq!(keys(&on), keys(&off), "pipelining cannot change results");
     }
 
     #[test]

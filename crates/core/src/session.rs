@@ -39,13 +39,6 @@ impl Default for SessionConfig {
     }
 }
 
-/// The old session error surface, now folded into [`enum@Error`]. The
-/// variants a pre-PR-6 caller matched (`OutOfRange`, `MetadataDisabled`,
-/// `Constraint`) exist unchanged on the unified enum; protocol strings
-/// became the typed `UnknownUdfs` / `NoSearchRun` / `NoSuchResult`.
-#[deprecated(since = "0.6.0", note = "use `prism_core::Error`")]
-pub type SessionError = Error;
-
 /// The Description grid of one session, as raw text: sample cells plus the
 /// optional metadata row, with the parse step that turns them into
 /// [`TargetConstraints`]. Shared verbatim by the borrowed [`Session`] and
@@ -180,12 +173,6 @@ impl<'a> Session<'a> {
     /// Step 3: hit "Start Searching!". Parses the grid, runs discovery, and
     /// stores the Result section.
     ///
-    /// With `discovery.pipeline` (the default) and more than one
-    /// validation thread, scheduling rounds are pipelined — scoring of the
-    /// next batch overlaps the previous batch's validation drain. The
-    /// Result section is identical either way; `PRISM_PIPELINE=off` (or
-    /// `pipeline: false`) restores the phased path.
-    ///
     /// A faulting filter (a panicking UDF, an injected fault under
     /// `PRISM_FAULT`) does not abort the search: its candidates are
     /// abandoned, the Result section comes back with
@@ -298,37 +285,6 @@ mod tests {
             .unwrap();
         assert_eq!(one.constraints.len(), 1);
         assert!(one.constraints[0].label.contains("Lake Tahoe"));
-    }
-
-    #[test]
-    fn pipeline_toggle_cannot_change_session_results() {
-        let db = mondial(42, 1);
-        let keys = |pipeline: bool| {
-            let config = SessionConfig {
-                discovery: DiscoveryConfig {
-                    validation_threads: 4,
-                    pipeline,
-                    ..DiscoveryConfig::default()
-                },
-                ..SessionConfig::default()
-            };
-            let mut session = Session::new(&db, config);
-            session
-                .set_sample_cell(0, 0, "California || Nevada")
-                .unwrap();
-            session.set_sample_cell(0, 1, "Lake Tahoe").unwrap();
-            session
-                .set_metadata_cell(2, "DataType=='decimal' AND MinValue>='0'")
-                .unwrap();
-            let result = session.start_searching().unwrap();
-            assert_eq!(result.stats.rounds_overlapped > 0, pipeline);
-            let mut k: Vec<String> = result.queries.iter().map(|q| q.key.clone()).collect();
-            k.sort();
-            k
-        };
-        let on = keys(true);
-        assert!(!on.is_empty());
-        assert_eq!(on, keys(false));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! counts 1/2/4 and check, against a fault-free baseline of the same
 //! walkthrough task:
 //!
-//! - fault-free runs are bit-identical across threads and engines, with
-//!   all fault counters zero;
+//! - fault-free runs are bit-identical across thread counts, with all
+//!   fault counters zero;
 //! - under injected panics the accept set is a **sound subset** of the
 //!   baseline, the result is flagged degraded, and each fault report
 //!   names the faulted filter's SQL;
@@ -45,10 +45,9 @@ fn fixture() -> &'static Arc<Database> {
 /// A discovery config that is deterministic under test: chaos comes only
 /// from the explicit `faults` argument, never from the ambient
 /// `PRISM_FAULT` (CI's chaos leg sets it process-wide).
-fn config(threads: usize, pipeline: bool, faults: Option<FaultSpec>) -> DiscoveryConfig {
+fn config(threads: usize, faults: Option<FaultSpec>) -> DiscoveryConfig {
     DiscoveryConfig {
         validation_threads: threads,
-        pipeline,
         faults,
         // The demo's result cap truncates the ranked list, which would
         // break subset comparisons (a chaos run that loses a top query
@@ -91,7 +90,7 @@ fn keys(result: &DiscoveryResult) -> Vec<String> {
 fn baseline() -> &'static Vec<String> {
     static BASE: OnceLock<Vec<String>> = OnceLock::new();
     BASE.get_or_init(|| {
-        let result = run_walkthrough(config(1, false, None));
+        let result = run_walkthrough(config(1, None));
         assert!(!result.queries.is_empty(), "walkthrough finds queries");
         keys(&result)
     })
@@ -104,21 +103,19 @@ fn is_subset(sub: &[String], sup: &[String]) -> bool {
 #[test]
 fn fault_free_runs_are_bit_identical_across_threads() {
     for threads in [1usize, 2, 4] {
-        for pipeline in [false, true] {
-            let result = run_walkthrough(config(threads, pipeline, None));
-            assert_eq!(
-                &keys(&result),
-                baseline(),
-                "clean run diverged at {threads} threads (pipeline={pipeline})"
-            );
-            assert!(!result.degraded);
-            assert!(result.fault_reports.is_empty());
-            assert!(result.degradation_notice().is_none());
-            assert_eq!(result.stats.faults_injected, 0);
-            assert_eq!(result.stats.fault_retries, 0);
-            assert_eq!(result.stats.filters_faulted, 0);
-            assert_eq!(result.stats.rounds_abandoned, 0);
-        }
+        let result = run_walkthrough(config(threads, None));
+        assert_eq!(
+            &keys(&result),
+            baseline(),
+            "clean run diverged at {threads} threads"
+        );
+        assert!(!result.degraded);
+        assert!(result.fault_reports.is_empty());
+        assert!(result.degradation_notice().is_none());
+        assert_eq!(result.stats.faults_injected, 0);
+        assert_eq!(result.stats.fault_retries, 0);
+        assert_eq!(result.stats.filters_faulted, 0);
+        assert_eq!(result.stats.rounds_abandoned, 0);
     }
 }
 
@@ -126,36 +123,34 @@ fn fault_free_runs_are_bit_identical_across_threads() {
 fn injected_panics_degrade_to_a_sound_subset() {
     let spec = FaultSpec::parse("panic:1.0:seed42").unwrap();
     for threads in [1usize, 2, 4] {
-        for pipeline in [false, true] {
-            let result = run_walkthrough(config(threads, pipeline, Some(spec.clone())));
-            // Every validation slot panics, so nothing can be accepted —
-            // but the round completes and explains itself.
+        let result = run_walkthrough(config(threads, Some(spec.clone())));
+        // Every validation slot panics, so nothing can be accepted — but
+        // the round completes and explains itself.
+        assert!(
+            result.queries.is_empty(),
+            "all-faulting run accepted queries at {threads} threads"
+        );
+        assert!(result.degraded);
+        assert!(result.stats.faults_injected > 0);
+        assert!(!result.fault_reports.is_empty());
+        assert_eq!(
+            result.stats.filters_faulted,
+            result.fault_reports.len() as u64
+        );
+        for report in &result.fault_reports {
             assert!(
-                result.queries.is_empty(),
-                "all-faulting run accepted queries at {threads} threads"
+                report.filter_sql.starts_with("SELECT"),
+                "fault report names the filter query: {:?}",
+                report.filter_sql
             );
-            assert!(result.degraded);
-            assert!(result.stats.faults_injected > 0);
-            assert!(!result.fault_reports.is_empty());
-            assert_eq!(
-                result.stats.filters_faulted,
-                result.fault_reports.len() as u64
+            assert!(
+                report.reason.contains("injected fault"),
+                "contained panic message survives: {:?}",
+                report.reason
             );
-            for report in &result.fault_reports {
-                assert!(
-                    report.filter_sql.starts_with("SELECT"),
-                    "fault report names the filter query: {:?}",
-                    report.filter_sql
-                );
-                assert!(
-                    report.reason.contains("injected fault"),
-                    "contained panic message survives: {:?}",
-                    report.reason
-                );
-            }
-            let notice = result.degradation_notice().expect("degraded => notice");
-            assert!(notice.contains("partial results"));
         }
+        let notice = result.degradation_notice().expect("degraded => notice");
+        assert!(notice.contains("partial results"));
     }
 }
 
@@ -164,7 +159,7 @@ fn partial_panic_chaos_is_sound_and_reproducible() {
     // A partial rate: some filters fault, the rest validate normally.
     let spec = FaultSpec::parse("panic:0.3:seed7").unwrap();
     for threads in [1usize, 2, 4] {
-        let run = || run_walkthrough(config(threads, true, Some(spec.clone())));
+        let run = || run_walkthrough(config(threads, Some(spec.clone())));
         let result = run();
         assert!(
             is_subset(&keys(&result), baseline()),
@@ -193,7 +188,7 @@ fn transient_faults_retry_and_recover() {
     let mut recovered_fully = false;
     for seed in 0..16u64 {
         let spec = FaultSpec::parse(&format!("transient:0.1:seed{seed}")).unwrap();
-        let result = run_walkthrough(config(4, true, Some(spec)));
+        let result = run_walkthrough(config(4, Some(spec)));
         assert!(
             is_subset(&keys(&result), baseline()),
             "transient chaos (seed{seed}) accepted a query the clean run does not"
@@ -207,9 +202,7 @@ fn transient_faults_retry_and_recover() {
         }
         // Full recovery: the retry budget absorbed every validation-slot
         // transient (retries happened, nothing persisted), so the round is
-        // clean and the accept set untouched. (`faults_injected` alone
-        // does not imply retries — a transient at the speculative-score
-        // site is a counted no-op.)
+        // clean and the accept set untouched.
         if result.stats.fault_retries > 0 && result.fault_reports.is_empty() {
             assert!(!result.degraded);
             assert_eq!(&keys(&result), baseline(), "full recovery seed{seed}");
@@ -226,7 +219,7 @@ fn transient_faults_retry_and_recover() {
 fn delay_faults_never_change_results() {
     let spec = FaultSpec::parse("delay:1.0:seed3").unwrap();
     for threads in [1usize, 4] {
-        let result = run_walkthrough(config(threads, true, Some(spec.clone())));
+        let result = run_walkthrough(config(threads, Some(spec.clone())));
         assert_eq!(&keys(&result), baseline());
         assert!(!result.degraded);
         assert!(result.fault_reports.is_empty());
@@ -237,13 +230,9 @@ fn delay_faults_never_change_results() {
 
 #[test]
 fn chaotic_session_cannot_poison_siblings() {
-    let svc = DiscoveryService::new(Arc::clone(fixture()), config(4, true, None));
+    let svc = DiscoveryService::new(Arc::clone(fixture()), config(4, None));
     let chaos = FaultSpec::parse("panic:1.0:seed7").unwrap();
-    let configs = [
-        config(4, true, Some(chaos)),
-        config(4, true, None),
-        config(4, true, None),
-    ];
+    let configs = [config(4, Some(chaos)), config(4, None), config(4, None)];
     let results: Vec<DiscoveryResult> = std::thread::scope(|scope| {
         let joins: Vec<_> = configs
             .iter()
@@ -298,7 +287,7 @@ fn near_zero_deadline_returns_promptly() {
     for threads in [1usize, 4] {
         let cfg = DiscoveryConfig {
             time_budget: Duration::from_millis(1),
-            ..config(threads, true, None)
+            ..config(threads, None)
         };
         let start = Instant::now();
         let result = run_walkthrough(cfg);
@@ -345,7 +334,7 @@ fn env_chaos_smoke_injects_and_stays_sound() {
         ] {
             for task in taskgen.generate_many(resolution, 1, &mut rng) {
                 let chaotic = run_task(db.as_ref(), &task, DiscoveryConfig::default());
-                let clean = run_task(db.as_ref(), &task, config(4, true, None));
+                let clean = run_task(db.as_ref(), &task, config(4, None));
                 assert!(
                     is_subset(&keys(&chaotic), &keys(&clean)),
                     "env chaos accepted a query the clean run does not ({resolution:?}/{seed})"

@@ -65,10 +65,9 @@ impl fmt::Display for FaultKind {
 pub enum FaultSite {
     /// Inside user-defined-function evaluation (`prism_lang`).
     UdfEval,
-    /// Inside one validation slot on the worker pool (`prism_core`).
+    /// Inside one validation slot, inline or on the worker pool
+    /// (`prism_core`).
     ValidationSlot,
-    /// Inside speculative batch scoring on the coordinator (`prism_core`).
-    SpeculativeScore,
     /// Inside one CSV chunk parse (`prism_db::csv`).
     CsvChunk,
 }
@@ -78,7 +77,6 @@ impl FaultSite {
         match self {
             FaultSite::UdfEval => 0x9d5c_f3a1,
             FaultSite::ValidationSlot => 0x51ce_22b7,
-            FaultSite::SpeculativeScore => 0xc0de_5c03,
             FaultSite::CsvChunk => 0x05cc_41d9,
         }
     }
