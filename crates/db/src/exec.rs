@@ -54,6 +54,38 @@
 //! distinct symbol code: a per-slot verdict bitmap is shared by *every*
 //! path that tests the predicate — full scans, key-filtered scans, and
 //! index-probed rows alike.
+//!
+//! ## Nogood memo
+//!
+//! Plain backtracking re-proves dead ends: when the search below some depth
+//! fails, the next parent row with the same join keys repeats it in full —
+//! under a Zipf hub key, once per hub row. The plan builder therefore
+//! derives each depth's *separator*: the join keys of already-assigned
+//! nodes that any link or residual check at that depth or deeper reads.
+//! Each run records its failed `(depth, separator keys)` in the
+//! [`ExecScratch`], and the search returns at once on a recorded key
+//! ([`ExecStats::nogood_hits`]). When every separator has one key, a
+//! failing existence check thus reads each joined table at most once per
+//! key: the linear bound semi-join reduction gives acyclic joins
+//! (Yannakakis, VLDB 1981).
+//!
+//! Why a hit is sound:
+//!
+//! * Predicates are pure functions of a cell, the assumption the verdict
+//!   memos above already make. Predicates, zone pruners and the plan are
+//!   constant for a run (the adaptive guard swaps plans only between runs).
+//! * A sub-search reads the assignment of shallower nodes only through its
+//!   depth's separator keys, so whether it can emit a row depends only on
+//!   its depth and those keys.
+//! * A key is recorded only when its sub-search ran to completion without
+//!   emitting a row. An error, a cancellation or a panic records nothing.
+//! * The set is cleared at the start of every run and dropped with a
+//!   quarantined scratch. Separators wider than two keys, or holding a NULL
+//!   key, are never memoized.
+//!
+//! A hit skips only a sub-search that would have emitted nothing, so a
+//! plan's rows, their order and its verdicts stay the same. Only work
+//! counters fall, and with them the fan-out the adaptive guard observes.
 
 use crate::column::{Column, ColumnData};
 use crate::database::Database;
@@ -142,6 +174,10 @@ pub struct ExecStats {
     /// Rows the planner *expected* each run to examine, summed over runs —
     /// the denominator of [`ExecStats::fanout_ratio`].
     pub rows_estimated: u64,
+    /// Sub-searches skipped by the run's nogood memo: their (depth,
+    /// separator keys) had already failed earlier in the same run (see the
+    /// module docs).
+    pub nogood_hits: u64,
 }
 
 impl ExecStats {
@@ -158,14 +194,17 @@ impl ExecStats {
         self.nodes_reordered += other.nodes_reordered;
         self.plan_recompiles += other.plan_recompiles;
         self.rows_estimated += other.rows_estimated;
+        self.nogood_hits += other.nogood_hits;
     }
 
     /// Observed-vs-estimated fan-out: rows actually examined per row the
     /// planner expected, or `None` before any estimated run. Values well
     /// above 1 mean the cost model under-estimated (the adaptive guard
     /// recompiles past that point); early-exiting existence probes pull the
-    /// ratio below 1. Both counters merge additively across workers, so the
-    /// ratio stays meaningful for pooled stats.
+    /// ratio below 1, and so do nogood-memo hits, which the estimates do
+    /// not model (on perfbench's seed-1 traced `skewed_join` the memo took
+    /// the ratio from 1.38 to 0.06). Both counters merge additively across
+    /// workers, so the ratio stays meaningful for pooled stats.
     pub fn fanout_ratio(&self) -> Option<f64> {
         (self.rows_estimated > 0).then(|| self.rows_examined as f64 / self.rows_estimated as f64)
     }
@@ -646,6 +685,7 @@ impl PreparedQuery {
             deadline: scratch.deadline,
             assignment: &mut scratch.assignment,
             memos: &mut scratch.memos,
+            nogoods: &mut scratch.nogoods,
             node_rows: &mut scratch.node_rows,
         };
         let result = search.run(0, &mut st).map(|_| ());
@@ -699,15 +739,18 @@ impl PreparedQuery {
     }
 }
 
-/// Reusable per-run executor state: the node-assignment vector and the
-/// per-slot dictionary verdict memos. `reset` clears (and reshapes) the
-/// buffers without giving their allocations back, so a scratch held across
-/// thousands of existence probes settles into zero steady-state allocation.
+/// Reusable per-run executor state: the node-assignment vector, the
+/// per-slot dictionary verdict memos and the nogood memo. `reset` clears
+/// (and reshapes) the buffers without giving their allocations back, so a
+/// scratch held across thousands of existence probes settles into zero
+/// steady-state allocation.
 /// One scratch serves any sequence of prepared queries — sizes adapt.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     assignment: Vec<u32>,
     memos: Vec<SlotMemo>,
+    /// The current run's failed sub-searches (see [`NogoodSet`]).
+    nogoods: NogoodSet,
     /// Rows examined per node slot during the current run; flushed into the
     /// plan's adaptive guard when the run ends. Plain counters here, one
     /// atomic add per node per *run* there — the row loop stays contention-
@@ -749,6 +792,7 @@ impl ExecScratch {
         self.assignment.resize(pq.query.nodes.len(), 0);
         self.node_rows.clear();
         self.node_rows.resize(pq.query.nodes.len(), 0);
+        self.nogoods.clear();
         self.memos.truncate(pq.memo_shapes.len());
         for (i, &shape) in pq.memo_shapes.iter().enumerate() {
             match self.memos.get_mut(i) {
@@ -772,6 +816,31 @@ struct Link {
     /// (always true for FK-aligned conditions; an ad-hoc condition across
     /// key-space components falls back to a filtered scan).
     index_usable: bool,
+    /// Separator of this link's depth, filled in by [`Plan::build`] once
+    /// the visit order is final.
+    separator: Separator,
+}
+
+/// One join key an already-assigned node exposes to a deeper sub-search:
+/// the cell at (node slot, column), keyed in `space`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SepKey {
+    node: u32,
+    col: u32,
+    space: KeySpace,
+}
+
+/// A depth's *separator*: the join keys of already-assigned nodes that any
+/// link or residual check at that depth or deeper reads. The sub-search
+/// below the depth sees the assignment only through these keys, so they
+/// key the run's nogood memo. Inline and `Copy`: cached plans number in the
+/// tens of thousands, and a heap list per depth would show in peak memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Separator {
+    One(SepKey),
+    Two(SepKey, SepKey),
+    /// More than two keys: never memoized.
+    Wide,
 }
 
 /// Per-node execution info, derived once per *prepared* query (not per
@@ -988,7 +1057,7 @@ impl Plan {
             preds,
             feedback,
         };
-        let (order, link, used_join, moved_nodes) = match mode {
+        let (order, mut link, used_join, moved_nodes) = match mode {
             JoinOrder::Fixed => {
                 let (order, link, used) = fixed_order(q, db, &local_preds);
                 (order, link, used, 0)
@@ -1029,6 +1098,38 @@ impl Plan {
                     std::cmp::Reverse(d)
                 });
             }
+        }
+        // Separators: per depth, the keys of shallower nodes that the links
+        // and residual checks at that depth or deeper read.
+        for d in 1..n {
+            let mut keys: Vec<SepKey> = Vec::new();
+            let mut read = |node: usize, col: u32, space: KeySpace| {
+                let key = SepKey {
+                    node: node as u32,
+                    col,
+                    space,
+                };
+                if depth_of(node) < d && !keys.contains(&key) {
+                    keys.push(key);
+                }
+            };
+            for e in d..n {
+                if let Some(l) = &link[e] {
+                    read(l.parent_node, l.parent_col, l.pair_space);
+                }
+                for &(j, space) in &residual_at[e] {
+                    read(j.left_node, j.left_col, space);
+                    read(j.right_node, j.right_col, space);
+                }
+            }
+            link[d]
+                .as_mut()
+                .expect("non-start nodes are linked")
+                .separator = match keys[..] {
+                [a] => Separator::One(a),
+                [a, b] => Separator::Two(a, b),
+                _ => Separator::Wide,
+            };
         }
         let (est_rows, est_node_rows) = est.cost_of(&order, &link);
         Plan {
@@ -1083,6 +1184,7 @@ fn make_link(q: &PjQuery, db: &Database, from: usize, fcol: u32, to: usize, tcol
         my_col: tcol,
         pair_space,
         index_usable,
+        separator: Separator::Wide,
     }
 }
 
@@ -1226,6 +1328,8 @@ struct SearchState<'a, 'cb, 'st> {
     /// Per-projection-slot dictionary verdict memos, shared by every path
     /// that evaluates the slot's predicate during this run.
     memos: &'st mut Vec<SlotMemo>,
+    /// Sub-searches this run has proven to emit nothing.
+    nogoods: &'st mut NogoodSet,
     /// Rows examined per node slot this run (adaptive-guard feedback).
     node_rows: &'st mut Vec<u64>,
     /// Projection row buffer, reused across emissions within a run (lazy:
@@ -1270,7 +1374,8 @@ impl SearchState<'_, '_, '_> {
 
 impl<'a> Search<'a> {
     /// Extend the partial assignment at `depth`. Returns `false` when the
-    /// callback asked to stop enumeration.
+    /// callback asked to stop enumeration. A sub-search whose depth and
+    /// separator keys already failed in this run is skipped outright.
     fn run(&self, depth: usize, st: &mut SearchState<'a, '_, '_>) -> Result<bool, DbError> {
         if depth == self.plan.order.len() {
             st.stats.rows_emitted += 1;
@@ -1284,6 +1389,47 @@ impl<'a> Search<'a> {
             }
             return Ok((st.cb)(&st.row_buf));
         }
+        let nogood = self.nogood_key(depth, st.assignment);
+        if let Some(key) = nogood {
+            if st.nogoods.contains(&key) {
+                st.stats.nogood_hits += 1;
+                return Ok(true);
+            }
+        }
+        let emitted = st.stats.rows_emitted;
+        let result = self.expand(depth, st);
+        // Record only a sub-search that ran to completion without emitting:
+        // errors and cancellations return early, and a panic unwinds past.
+        if let (Some(key), Ok(true)) = (nogood, &result) {
+            if st.stats.rows_emitted == emitted && st.nogoods.len() < NOGOOD_CAP {
+                st.nogoods.insert(key);
+            }
+        }
+        result
+    }
+
+    /// The nogood-memo key of the sub-search at `depth` under the current
+    /// assignment: the depth and its separator's join keys. `None` (never
+    /// memoized) at the start depth, for separators wider than two keys,
+    /// and when a separator key is NULL.
+    fn nogood_key(&self, depth: usize, assignment: &[u32]) -> Option<NogoodKey> {
+        let key = |k: SepKey| {
+            let node = k.node as usize;
+            self.db
+                .table(self.q.nodes[node])
+                .column(k.col)
+                .join_key_in(assignment[node] as usize, k.space)
+        };
+        match self.plan.link[depth].as_ref()?.separator {
+            Separator::One(a) => Some((depth as u32, key(a)?, 0)),
+            Separator::Two(a, b) => Some((depth as u32, key(a)?, key(b)?)),
+            Separator::Wide => None,
+        }
+    }
+
+    /// The body of [`Search::run`] below the memo: enumerate this depth's
+    /// candidate rows and recurse.
+    fn expand(&self, depth: usize, st: &mut SearchState<'a, '_, '_>) -> Result<bool, DbError> {
         let node = self.plan.order[depth];
         let tid = self.q.nodes[node];
         let table = self.db.table(tid);
@@ -1807,6 +1953,55 @@ impl PredMemo {
     }
 }
 
+/// Entries one run's nogood memo may hold. The largest set a seed-1
+/// perfbench run builds holds 1,290. Past the cap a run stops recording, so
+/// the memo's memory and its worst-case probe cost stay bounded.
+const NOGOOD_CAP: usize = 1 << 14;
+
+/// A failed sub-search: `(depth, key, key)`, the second key 0 for
+/// one-key separators (a depth's separator width is fixed for the run).
+type NogoodKey = (u32, u64, u64);
+
+/// The failed sub-searches of one run. Lives in [`ExecScratch`] and is
+/// cleared per run, like the [`SlotMemo`] verdicts.
+type NogoodSet = std::collections::HashSet<NogoodKey, std::hash::BuildHasherDefault<NogoodHasher>>;
+
+/// Multiply-rotate hasher for the nogood memo's integer keys: one rotate,
+/// xor and multiply per word instead of SipHash's rounds, and a final
+/// rotate that moves the product's well-mixed high bits into the low bits
+/// the table indexes by. It is unkeyed, and join keys come from user data,
+/// so a crafted key set can collide; [`NOGOOD_CAP`] bounds what that costs,
+/// and the set lives for one run.
+#[derive(Default)]
+struct NogoodHasher(u64);
+
+impl NogoodHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl std::hash::Hasher for NogoodHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1997,6 +2192,123 @@ mod tests {
         assert_eq!(n_even, 100);
         assert_eq!(n_odd, 100, "stale verdicts leaked through the scratch");
         assert_eq!(stats.scratch_reuses, 1);
+    }
+
+    /// A three-table chain `A.k = B.k`, `B.c = C.c`: A's 200 rows all carry
+    /// the hub key 1, B holds 50 hub rows with distinct `c`, and C holds 8
+    /// rows per `c` tagged `t0`..`t6`. A is the smaller predicated table,
+    /// so `Fixed` planning visits A, B, C.
+    fn hub_chain_db() -> Database {
+        let mut b = DatabaseBuilder::new("hub_chain");
+        b.add_table("A", vec![ColumnDef::new("k", DataType::Int)])
+            .unwrap();
+        b.add_table(
+            "B",
+            vec![
+                ColumnDef::new("k", DataType::Int),
+                ColumnDef::new("c", DataType::Int),
+            ],
+        )
+        .unwrap();
+        b.add_table(
+            "C",
+            vec![
+                ColumnDef::new("c", DataType::Int),
+                ColumnDef::new("tag", DataType::Text),
+            ],
+        )
+        .unwrap();
+        for _ in 0..200 {
+            b.add_row("A", vec![Value::Int(1)]).unwrap();
+        }
+        for c in 0..50i64 {
+            b.add_row("B", vec![Value::Int(1), Value::Int(c)]).unwrap();
+        }
+        for i in 0..400i64 {
+            b.add_row("C", vec![Value::Int(i % 50), format!("t{}", i % 7).into()])
+                .unwrap();
+        }
+        b.add_foreign_key("B", "k", "A", "k").unwrap();
+        b.add_foreign_key("B", "c", "C", "c").unwrap();
+        b.build()
+    }
+
+    fn hub_chain_query(db: &Database) -> PjQuery {
+        let id = |t: &str| db.catalog().table_id(t).unwrap();
+        PjQuery {
+            nodes: vec![id("A"), id("B"), id("C")],
+            joins: vec![
+                JoinCond {
+                    left_node: 0,
+                    left_col: 0,
+                    right_node: 1,
+                    right_col: 0,
+                },
+                JoinCond {
+                    left_node: 1,
+                    left_col: 1,
+                    right_node: 2,
+                    right_col: 0,
+                },
+            ],
+            projection: vec![(0, 0), (2, 1)], // A.k, C.tag
+        }
+    }
+
+    /// The nogood memo must not leak across runs: one prepared query on one
+    /// scratch first runs with a tag no C row carries, so every deep
+    /// sub-search fails and is recorded, then with a tag that matches. The
+    /// second run must find all its rows.
+    #[test]
+    fn scratch_reuse_does_not_leak_nogoods_across_runs() {
+        let db = hub_chain_db();
+        let q = hub_chain_query(&db);
+        let any = |_: ValueRef<'_>| true;
+        let absent = |v: ValueRef<'_>| v == ValueRef::Text("absent");
+        let is_t3 = |v: ValueRef<'_>| v == ValueRef::Text("t3");
+        let failing = [Some(ScanPred::new(&any)), Some(ScanPred::new(&absent))];
+        let matching = [Some(ScanPred::new(&any)), Some(ScanPred::new(&is_t3))];
+        let prepared = q.prepare_with(&db, &failing, JoinOrder::Fixed).unwrap();
+        let mut scratch = ExecScratch::new();
+        let mut stats = ExecStats::default();
+        let n = prepared
+            .count_matching(&db, &failing, u64::MAX, &mut scratch, &mut stats)
+            .unwrap();
+        assert_eq!(n, 0);
+        assert!(stats.nogood_hits > 0, "the failing run must record nogoods");
+        let n = prepared
+            .count_matching(&db, &matching, u64::MAX, &mut scratch, &mut stats)
+            .unwrap();
+        // 57 of C's 400 rows carry t3; each joins every A row through B.
+        assert_eq!(n, 200 * 57, "stale nogoods leaked through the scratch");
+        assert_eq!(stats.scratch_reuses, 1);
+    }
+
+    /// Linear bound: every A row carries the hub key and C's predicate
+    /// rejects every row, so each A row's sub-search fails the same way.
+    /// Plain backtracking repeats it per A row (about |A|·(|B|+|C|) rows);
+    /// with the memo each table is read at most once.
+    #[test]
+    fn nogood_memo_reads_each_table_once_on_a_failing_hub_chain() {
+        let db = hub_chain_db();
+        let q = hub_chain_query(&db);
+        let any = |_: ValueRef<'_>| true;
+        let absent = |v: ValueRef<'_>| v == ValueRef::Text("absent");
+        let preds = [Some(ScanPred::new(&any)), Some(ScanPred::new(&absent))];
+        let prepared = q.prepare_with(&db, &preds, JoinOrder::Fixed).unwrap();
+        let mut stats = ExecStats::default();
+        let found = prepared
+            .exists_matching(&db, &preds, &mut ExecScratch::new(), &mut stats)
+            .unwrap();
+        assert!(!found);
+        let table_rows: u64 = q.nodes.iter().map(|&t| db.row_count(t) as u64).sum();
+        assert!(
+            stats.rows_examined <= table_rows,
+            "{} rows examined over {} table rows",
+            stats.rows_examined,
+            table_rows
+        );
+        assert!(stats.nogood_hits > 0);
     }
 
     /// The plan bakes in which slots carry predicates; running with a
@@ -2243,6 +2555,7 @@ mod tests {
             nodes_reordered: 7,
             plan_recompiles: 8,
             rows_estimated: 9,
+            nogood_hits: 10,
         };
         let b = ExecStats {
             rows_examined: 10,
@@ -2254,6 +2567,7 @@ mod tests {
             nodes_reordered: 70,
             plan_recompiles: 80,
             rows_estimated: 90,
+            nogood_hits: 100,
         };
         a.merge(&b);
         assert_eq!(a.rows_examined, 11);
@@ -2265,6 +2579,7 @@ mod tests {
         assert_eq!(a.nodes_reordered, 77);
         assert_eq!(a.plan_recompiles, 88);
         assert_eq!(a.rows_estimated, 99);
+        assert_eq!(a.nogood_hits, 110);
         assert_eq!(a.fanout_ratio(), Some(11.0 / 99.0));
         assert_eq!(ExecStats::default().fanout_ratio(), None);
     }

@@ -97,8 +97,11 @@ fn main() {
     );
     println!(
         "  execution work           : {} rows examined, {} index probes, \
-         {} blocks zone-pruned",
-        stats.exec.rows_examined, stats.exec.index_probes, stats.exec.blocks_skipped
+         {} blocks zone-pruned, {} failed sub-searches skipped",
+        stats.exec.rows_examined,
+        stats.exec.index_probes,
+        stats.exec.blocks_skipped,
+        stats.exec.nogood_hits
     );
     let cache = service.plan_cache();
     println!(
