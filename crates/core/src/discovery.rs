@@ -346,26 +346,43 @@ pub(crate) fn run_round(
     // fewer joins first (simpler mappings), then smaller estimated
     // results (more specific mappings), then SQL for determinism.
     // Ranking happens before the result cap so the cap keeps the best.
-    let mut ranked: Vec<(usize, f64, String, u32)> = outcome
+    // SQL is rendered only at or above the cap's `(joins, estimate)`
+    // boundary: ties on the boundary are kept, because the SQL tie-break
+    // decides which of them make the cap. Candidate id last makes the
+    // order total; SQL is unique per candidate, so it never decides.
+    let limit = config.result_limit;
+    let mut ranked: Vec<(usize, f64, u32)> = outcome
         .accepted
         .iter()
         .map(|&cid| {
             let cand = &cand_set.candidates[cid as usize];
-            (
-                cand.query.join_count(),
-                estimate_result_rows(db, cand),
-                render_sql(&cand.query, db),
-                cid,
-            )
+            (cand.query.join_count(), estimate_result_rows(db, cand), cid)
+        })
+        .collect();
+    let by_cost = |a: &(usize, f64, u32), b: &(usize, f64, u32)| {
+        a.0.cmp(&b.0).then_with(|| a.1.total_cmp(&b.1))
+    };
+    if limit == 0 {
+        ranked.clear();
+    } else if limit < ranked.len() {
+        let (_, &mut boundary, _) = ranked.select_nth_unstable_by(limit - 1, by_cost);
+        ranked.retain(|r| by_cost(r, &boundary).is_le());
+    }
+    let mut ranked: Vec<(usize, f64, String, u32)> = ranked
+        .into_iter()
+        .map(|(joins, est, cid)| {
+            let sql = render_sql(&cand_set.candidates[cid as usize].query, db);
+            (joins, est, sql, cid)
         })
         .collect();
     ranked.sort_by(|a, b| {
         a.0.cmp(&b.0)
-            .then_with(|| a.1.partial_cmp(&b.1).expect("finite estimates"))
+            .then_with(|| a.1.total_cmp(&b.1))
             .then_with(|| a.2.cmp(&b.2))
+            .then_with(|| a.3.cmp(&b.3))
     });
     let mut queries = Vec::new();
-    for (_, estimated_rows, sql, cid) in ranked.into_iter().take(config.result_limit) {
+    for (_, estimated_rows, sql, cid) in ranked.into_iter().take(limit) {
         let candidate = cand_set.candidates[cid as usize].clone();
         let key = canonical_key(&candidate.query, db);
         let preview = candidate.query.execute(db, 5).unwrap_or_default();
@@ -584,5 +601,51 @@ mod tests {
         let engine = Discovery::new(&db, config);
         let result = engine.run(&walkthrough_constraints());
         assert_eq!(result.queries.len(), 1);
+    }
+
+    #[test]
+    fn capped_results_are_a_prefix_of_the_uncapped_ranking() {
+        use prism_datasets::{imdb, Resolution, TaskGenConfig, TaskGenerator};
+        use rand::{rngs::StdRng, SeedableRng};
+        let run = |db: &Database, tc: &TargetConstraints, limit: usize| {
+            let config = DiscoveryConfig {
+                result_limit: limit,
+                ..DiscoveryConfig::with_scheduler(SchedulerKind::PathLength)
+            };
+            Discovery::new(db, config).run(tc).queries
+        };
+        let mut rounds: Vec<(Database, Vec<TargetConstraints>)> =
+            vec![(mondial(42, 1), vec![walkthrough_constraints()])];
+        for (i, db) in [imdb(42, 1), nba(42, 1)].into_iter().enumerate() {
+            let taskgen = TaskGenerator::new(&db, TaskGenConfig::default());
+            let mut rng = StdRng::seed_from_u64(i as u64);
+            let tasks: Vec<TargetConstraints> = [Resolution::Disjunction, Resolution::Metadata]
+                .into_iter()
+                .flat_map(|r| taskgen.generate_many(r, 2, &mut rng))
+                .map(|t| TargetConstraints::parse(t.column_count, &t.samples, &t.metadata))
+                .collect::<Result<_, _>>()
+                .unwrap();
+            rounds.push((db, tasks));
+        }
+        let mut cuts_inside_a_tie = 0;
+        for (db, tasks) in &rounds {
+            for tc in tasks {
+                let full = run(db, tc, usize::MAX);
+                let sqls: Vec<&str> = full.iter().map(|q| q.sql.as_str()).collect();
+                assert!(run(db, tc, 0).is_empty());
+                for k in [1, 2, 3, 7, 64] {
+                    let capped = run(db, tc, k);
+                    let got: Vec<&str> = capped.iter().map(|q| q.sql.as_str()).collect();
+                    assert_eq!(got, sqls[..k.min(sqls.len())], "limit {k}");
+                    if k < full.len() {
+                        let cost = |q: &DiscoveredQuery| {
+                            (q.candidate.query.join_count(), q.estimated_rows)
+                        };
+                        cuts_inside_a_tie += usize::from(cost(&full[k - 1]) == cost(&full[k]));
+                    }
+                }
+            }
+        }
+        assert!(cuts_inside_a_tie > 0, "no cap cut inside a tie");
     }
 }

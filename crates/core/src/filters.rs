@@ -31,10 +31,47 @@
 //! direct `superfilters` edges bound the one extra hop a filter's score
 //! sees through its `subfilters` — so invalidating a cached score is a
 //! local walk, never a whole-set sweep.
+//!
+//! ## Shapes and interned keys
+//!
+//! A round has far fewer distinct join trees than candidates (on the
+//! benchmark's paper mix, 7,753 trees for 62,411 candidates), and a
+//! candidate's subtrees depend on its tree alone. Each distinct tree is
+//! therefore interned once per round as a *shape*: its connected subtrees
+//! (each interned to a round-local `u32` id), the position of the full
+//! tree among them, and its strict-containment pairs, all computed once.
+//! A shape is keyed on the tree's edges *and* tables: every single-table
+//! tree has the same empty edge list, and keying on edges alone would hand
+//! every later single-table candidate the first one's subtrees — no top
+//! filter, zero filters — so it would pass acceptance unvalidated.
+//! Candidates of one tree are contiguous in enumeration order, so the
+//! builder compares with the previous candidate's tree before it looks a
+//! shape up.
+//!
+//! Per candidate and sample, each subtree's predicate list is built in a
+//! reused buffer and interned by slice (a hit allocates nothing). Filters
+//! are keyed by `(subtree, predicate list, sample)` and query classes by
+//! `(subtree, column list)`, all `Copy` ids; a class's `Vec` identity for
+//! the [`SharedPlanCache`] is built only when the class is new.
+//!
+//! ## Why lattice edges come only with a new superfilter
+//!
+//! A filter `(T, P, s)`'s subfilters are the filters `(T', P restricted to
+//! T', s)` over the proper connected subtrees `T'` of `T` whose restricted
+//! predicate list is non-empty: the subtrees of a candidate's tree that
+//! lie inside `T` are exactly `T`'s own connected subtrees, whatever the
+//! candidate. So the subfilter set is a function of the filter, and the
+//! candidate-sample that creates a filter already adds every edge below
+//! it. The builder walks a shape's pairs only in candidate-samples that
+//! created a filter, and pushes an edge only when its superfilter is new;
+//! no edge is ever pushed twice, so no dedup scan or set is needed, and the
+//! edges come out in the order a pairwise loop over every candidate-sample
+//! would push them.
 
 use crate::candidates::Candidate;
 use crate::constraints::TargetConstraints;
 use prism_db::graph::{EdgeId, JoinTree};
+use prism_db::hash::MulRotMap;
 use prism_db::schema::{ColumnRef, TableId};
 use prism_db::{Database, PreparedQuery};
 use std::collections::hash_map::Entry;
@@ -290,15 +327,6 @@ impl std::fmt::Debug for SharedPlanCache {
     }
 }
 
-/// Canonical identity of a filter for cross-candidate deduplication.
-#[derive(PartialEq, Eq, Hash)]
-struct FilterKey {
-    edges: Vec<EdgeId>,
-    tables: Vec<TableId>,
-    preds: Vec<(usize, ColumnRef)>,
-    sample: usize,
-}
-
 /// Decompose every candidate into filters, with a private plan cache.
 pub fn build_filters(
     db: &Database,
@@ -307,6 +335,99 @@ pub fn build_filters(
     deadline: Option<Instant>,
 ) -> FilterSet {
     build_filters_with_cache(db, candidates, constraints, deadline, None)
+}
+
+/// Marks a shape position whose subtree yields no filter in the current
+/// candidate and sample.
+const NO_FILTER: u32 = u32::MAX;
+
+/// One distinct candidate tree of the round (see the module docs).
+struct Shape {
+    /// Interned ids of the tree's connected subtrees, in
+    /// [`prism_db::graph::SchemaGraph::subtrees`] order.
+    subtrees: Vec<u32>,
+    /// Position of the full tree among `subtrees`.
+    top: Option<usize>,
+    /// Strict containments `(sub position, sup position)`, in the order of
+    /// a pairwise loop `x < y` over positions.
+    pairs: Vec<(u32, u32)>,
+}
+
+/// The round's distinct candidate trees and their interned subtrees.
+#[derive(Default)]
+struct Shapes {
+    shape_of: MulRotMap<JoinTree, u32>,
+    shapes: Vec<Shape>,
+    subtree_of: MulRotMap<JoinTree, u32>,
+    subtrees: Vec<JoinTree>,
+}
+
+impl Shapes {
+    fn intern(&mut self, db: &Database, tree: &JoinTree) -> u32 {
+        if let Some(&id) = self.shape_of.get(tree) {
+            return id;
+        }
+        let subs = db.graph().subtrees(tree);
+        let top = subs.iter().position(|t| t == tree);
+        let mut pairs = Vec::new();
+        for (x, a) in subs.iter().enumerate() {
+            for (y, b) in subs.iter().enumerate().skip(x + 1) {
+                if a.table_count() < b.table_count() && b.contains_tree(a) {
+                    pairs.push((x as u32, y as u32));
+                } else if b.table_count() < a.table_count() && a.contains_tree(b) {
+                    pairs.push((y as u32, x as u32));
+                }
+            }
+        }
+        let subtrees = subs.into_iter().map(|t| self.subtree(t)).collect();
+        let id = self.shapes.len() as u32;
+        self.shapes.push(Shape {
+            subtrees,
+            top,
+            pairs,
+        });
+        self.shape_of.insert(tree.clone(), id);
+        id
+    }
+
+    fn subtree(&mut self, tree: JoinTree) -> u32 {
+        if let Some(&id) = self.subtree_of.get(&tree) {
+            return id;
+        }
+        let id = self.subtrees.len() as u32;
+        self.subtree_of.insert(tree.clone(), id);
+        self.subtrees.push(tree);
+        id
+    }
+}
+
+/// Round-local keys: every key the builder hashes per subtree visit is a
+/// `Copy` tuple of ids, or a slice looked up without allocating.
+#[derive(Default)]
+struct Keys {
+    /// Predicate lists, and the column list each one projects.
+    preds_of: MulRotMap<Vec<(usize, ColumnRef)>, u32>,
+    pred_cols: Vec<u32>,
+    cols_of: MulRotMap<Vec<ColumnRef>, u32>,
+    /// `(subtree, predicate list, sample)` → filter.
+    filter_of: MulRotMap<(u32, u32, usize), FilterId>,
+    /// `(subtree, column list)` → query class.
+    class_of: MulRotMap<(u32, u32), u32>,
+}
+
+impl Keys {
+    fn preds(&mut self, preds: &[(usize, ColumnRef)]) -> u32 {
+        if let Some(&id) = self.preds_of.get(preds) {
+            return id;
+        }
+        let cols: Vec<ColumnRef> = preds.iter().map(|&(_, c)| c).collect();
+        let next = self.cols_of.len() as u32;
+        self.pred_cols
+            .push(*self.cols_of.entry(cols).or_insert(next));
+        let id = self.preds_of.len() as u32;
+        self.preds_of.insert(preds.to_vec(), id);
+        id
+    }
 }
 
 /// Decompose every candidate into filters. With `shared` set, the filter
@@ -326,20 +447,21 @@ pub fn build_filters_with_cache(
         decomposed: vec![false; candidates.len()],
         ..FilterSet::default()
     };
-    let mut by_key: HashMap<FilterKey, FilterId> = HashMap::new();
-    // Query-class interner: filters whose executable query is identical —
-    // same subtree, same projected columns, any sample — share one class
-    // and hence one prepared plan slot. `class_keys[class]` keeps the
-    // identity for resolution through the service-global cache.
-    let mut class_by_query: HashMap<QueryKey, u32> = HashMap::new();
+    let mut shapes = Shapes::default();
+    let mut keys = Keys::default();
+    // `class_keys[class]` keeps each query class's identity for resolution
+    // through the service-global cache.
     let mut class_keys: Vec<QueryKey> = Vec::new();
-    // Subtree enumeration is per unique tree, cached. The key must carry
-    // the table set, not just the edge list: every single-table tree has
-    // the same empty edge list, and keying on edges alone would hand every
-    // later single-table candidate the *first* one's subtrees — no `is_top`
-    // match, no predicates, zero filters — and it would sail through
-    // acceptance unvalidated.
-    let mut subtree_cache: HashMap<(Vec<EdgeId>, Vec<TableId>), Vec<JoinTree>> = HashMap::new();
+    let sample_cols: Vec<Vec<usize>> = constraints
+        .samples
+        .iter()
+        .map(|s| s.constrained_columns().collect())
+        .collect();
+    let mut prev: Option<(&JoinTree, u32)> = None;
+    let mut constrained: Vec<(usize, ColumnRef)> = Vec::new();
+    let mut preds: Vec<(usize, ColumnRef)> = Vec::new();
+    let mut slot: Vec<u32> = Vec::new();
+    let mut cand_ids: Vec<FilterId> = Vec::new();
 
     for cand in candidates {
         if let Some(d) = deadline {
@@ -349,103 +471,86 @@ pub fn build_filters_with_cache(
             }
         }
         set.decomposed[cand.id] = true;
-        let subtrees = subtree_cache
-            .entry((cand.tree.edges.clone(), cand.tree.tables.clone()))
-            .or_insert_with(|| db.graph().subtrees(&cand.tree))
-            .clone();
-        // Constrained assignments per sample.
-        for (s, sample) in constraints.samples.iter().enumerate() {
-            let constrained: Vec<(usize, ColumnRef)> = sample
-                .constrained_columns()
-                .map(|i| (i, cand.assignment[i]))
-                .collect();
-            let mut cand_filter_ids: Vec<FilterId> = Vec::new();
-            for sub in &subtrees {
-                let preds: Vec<(usize, ColumnRef)> = constrained
-                    .iter()
-                    .copied()
-                    .filter(|(_, col)| sub.contains_table(col.table))
-                    .collect();
-                let is_top = sub.edges == cand.tree.edges && sub.tables == cand.tree.tables;
+        let cid = cand.id as u32;
+        // Candidates of one tree are contiguous in enumeration order.
+        let shape_id = match prev {
+            Some((tree, id)) if *tree == cand.tree => id,
+            _ => shapes.intern(db, &cand.tree),
+        };
+        prev = Some((&cand.tree, shape_id));
+        let shape = &shapes.shapes[shape_id as usize];
+        slot.clear();
+        slot.resize(shape.subtrees.len(), NO_FILTER);
+        cand_ids.clear();
+        set.tops[cand.id].reserve_exact(sample_cols.len());
+        for (s, cols) in sample_cols.iter().enumerate() {
+            constrained.clear();
+            constrained.extend(cols.iter().map(|&i| (i, cand.assignment[i])));
+            let first_new = set.filters.len() as u32;
+            for (pos, &sub) in shape.subtrees.iter().enumerate() {
+                let tree = &shapes.subtrees[sub as usize];
+                preds.clear();
+                preds.extend(
+                    constrained
+                        .iter()
+                        .filter(|(_, col)| tree.contains_table(col.table)),
+                );
+                let is_top = shape.top == Some(pos);
                 if preds.is_empty() && !is_top {
+                    slot[pos] = NO_FILTER;
                     continue; // unconstrained interior subtrees prune nothing
                 }
-                let key = FilterKey {
-                    edges: sub.edges.clone(),
-                    tables: sub.tables.clone(),
-                    preds: preds.clone(),
-                    sample: s,
-                };
-                let id = *by_key.entry(key).or_insert_with(|| {
-                    let id = FilterId(set.filters.len() as u32);
-                    let prevalidated = sub.edges.is_empty() && preds.len() == 1;
-                    let cols: Vec<ColumnRef> = preds.iter().map(|&(_, c)| c).collect();
-                    let query_key = (sub.edges.clone(), sub.tables.clone(), cols);
-                    let query_class = match class_by_query.entry(query_key.clone()) {
-                        Entry::Occupied(e) => *e.get(),
-                        Entry::Vacant(e) => {
-                            let c = class_keys.len() as u32;
-                            class_keys.push(query_key);
-                            *e.insert(c)
-                        }
-                    };
+                let pred_list = keys.preds(&preds);
+                let next = FilterId(set.filters.len() as u32);
+                let id = *keys.filter_of.entry((sub, pred_list, s)).or_insert(next);
+                if id == next {
+                    let cols = keys.pred_cols[pred_list as usize];
+                    let classes = class_keys.len() as u32;
+                    let query_class = *keys.class_of.entry((sub, cols)).or_insert(classes);
+                    if query_class == classes {
+                        let cols = preds.iter().map(|&(_, c)| c).collect();
+                        class_keys.push((tree.edges.clone(), tree.tables.clone(), cols));
+                    }
                     set.filters.push(Filter {
                         id,
-                        tree: sub.clone(),
-                        preds,
+                        tree: tree.clone(),
+                        preds: preds.clone(),
                         sample: s,
                         members: Vec::new(),
                         top_for: Vec::new(),
                         subfilters: Vec::new(),
                         superfilters: Vec::new(),
-                        prevalidated,
+                        prevalidated: tree.edges.is_empty() && preds.len() == 1,
                         query_class,
                     });
-                    id
-                });
+                }
                 let f = &mut set.filters[id.index()];
-                if f.members.last() != Some(&(cand.id as u32)) {
-                    f.members.push(cand.id as u32);
+                if f.members.last() != Some(&cid) {
+                    f.members.push(cid);
                 }
                 if is_top {
-                    f.top_for.push(cand.id as u32);
+                    f.top_for.push(cid);
                     set.tops[cand.id].push(id);
                 }
-                cand_filter_ids.push(id);
+                cand_ids.push(id);
+                slot[pos] = id.0;
             }
-            // Containment lattice within this candidate+sample: tree
-            // containment implies predicate containment here.
-            for (x, &fx) in cand_filter_ids.iter().enumerate() {
-                for &fy in cand_filter_ids.iter().skip(x + 1) {
-                    let (small, large) = (fx.min(fy), fx.max(fy));
-                    // Subtrees are enumerated small-to-large, but compare
-                    // explicitly: containment, not id order, is what counts.
-                    let a = &set.filters[fx.index()];
-                    let b = &set.filters[fy.index()];
-                    let (sub_id, sup_id) = if b.tree.contains_tree(&a.tree)
-                        && a.tree.table_count() < b.tree.table_count()
-                    {
-                        (fx, fy)
-                    } else if a.tree.contains_tree(&b.tree)
-                        && b.tree.table_count() < a.tree.table_count()
-                    {
-                        (fy, fx)
-                    } else {
-                        let _ = (small, large);
-                        continue;
-                    };
-                    if !set.filters[sup_id.index()].subfilters.contains(&sub_id) {
-                        set.filters[sup_id.index()].subfilters.push(sub_id);
-                        set.filters[sub_id.index()].superfilters.push(sup_id);
-                    }
+            // Lattice edges arise only with a new superfilter (module docs).
+            if set.filters.len() as u32 == first_new {
+                continue;
+            }
+            for &(sub_pos, sup_pos) in &shape.pairs {
+                let (sub, sup) = (slot[sub_pos as usize], slot[sup_pos as usize]);
+                if sub != NO_FILTER && sup != NO_FILTER && sup >= first_new {
+                    set.filters[sup as usize].subfilters.push(FilterId(sub));
+                    set.filters[sub as usize].superfilters.push(FilterId(sup));
                 }
             }
-            set.per_candidate[cand.id].extend(cand_filter_ids);
         }
         // A candidate's filter list may repeat ids across samples; dedupe.
-        let list = &mut set.per_candidate[cand.id];
-        list.sort_unstable();
-        list.dedup();
+        cand_ids.sort_unstable();
+        cand_ids.dedup();
+        set.per_candidate[cand.id] = cand_ids.clone();
     }
     set.plans = match shared {
         Some(cache) => PlanCache::from_shared(cache, class_keys),

@@ -42,6 +42,9 @@ pub enum DbError {
     NonFiniteDecimal,
     /// A foreign key declaration referenced columns of differing types.
     ForeignKeyTypeMismatch { from: String, to: String },
+    /// A foreign key joined a column pair already declared, in either
+    /// direction.
+    DuplicateForeignKey { from: String, to: String },
     /// A PJ query referenced a node slot or column that is out of range.
     InvalidQuery(String),
     /// Execution was abandoned cooperatively (deadline or cancel flag).
@@ -110,6 +113,9 @@ impl fmt::Display for DbError {
                     f,
                     "foreign key `{from}` -> `{to}` joins columns of different types"
                 )
+            }
+            DbError::DuplicateForeignKey { from, to } => {
+                write!(f, "join `{from}` = `{to}` declared twice")
             }
             DbError::InvalidQuery(msg) => write!(f, "invalid PJ query: {msg}"),
             DbError::Cancelled => write!(f, "execution cancelled (deadline or cancel flag)"),

@@ -1963,44 +1963,11 @@ const NOGOOD_CAP: usize = 1 << 14;
 type NogoodKey = (u32, u64, u64);
 
 /// The failed sub-searches of one run. Lives in [`ExecScratch`] and is
-/// cleared per run, like the [`SlotMemo`] verdicts.
-type NogoodSet = std::collections::HashSet<NogoodKey, std::hash::BuildHasherDefault<NogoodHasher>>;
-
-/// Multiply-rotate hasher for the nogood memo's integer keys: one rotate,
-/// xor and multiply per word instead of SipHash's rounds, and a final
-/// rotate that moves the product's well-mixed high bits into the low bits
-/// the table indexes by. It is unkeyed, and join keys come from user data,
-/// so a crafted key set can collide; [`NOGOOD_CAP`] bounds what that costs,
-/// and the set lives for one run.
-#[derive(Default)]
-struct NogoodHasher(u64);
-
-impl NogoodHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl std::hash::Hasher for NogoodHasher {
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-}
+/// cleared per run, like the [`SlotMemo`] verdicts. Keyed with the
+/// unkeyed [`MulRotHasher`](crate::hash::MulRotHasher), although join keys
+/// come from user data: [`NOGOOD_CAP`] bounds what a crafted colliding key
+/// set can cost, and the set lives for one run.
+type NogoodSet = crate::hash::MulRotSet<NogoodKey>;
 
 #[cfg(test)]
 mod tests {

@@ -9,6 +9,7 @@
 //! City→Country) and different spanning trees of the same tables are
 //! different join conditions, hence different PJ queries.
 
+use crate::hash::MulRotSet;
 use crate::schema::{ColumnRef, TableId};
 use std::collections::HashSet;
 
@@ -214,44 +215,46 @@ impl SchemaGraph {
     }
 
     /// All connected sub-trees of the given tree that span ≥1 table
-    /// (including the full tree itself and trivial single-table trees).
-    /// Candidate trees are small (≤ ~5 tables), so the 2^edges worst case is
-    /// negligible.
+    /// (including the full tree itself and trivial single-table trees),
+    /// smallest first: the single tables in the tree's table order, then
+    /// each size grown breadth-first from the previous one. Candidate trees
+    /// are small (≤ ~5 tables), so the 2^edges worst case is negligible.
     pub fn subtrees(&self, tree: &JoinTree) -> Vec<JoinTree> {
-        let mut seen: HashSet<Vec<EdgeId>> = HashSet::new();
-        let mut out: Vec<JoinTree> = Vec::new();
-        for &t in &tree.tables {
-            out.push(JoinTree::single(t));
-        }
-        let mut frontier: Vec<JoinTree> = out.clone();
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            for sub in &frontier {
-                for &t in &sub.tables {
+        let mut seen: MulRotSet<Vec<EdgeId>> = MulRotSet::default();
+        let mut out: Vec<JoinTree> = tree.tables.iter().map(|&t| JoinTree::single(t)).collect();
+        // `out[level..]` is the previous size's subtrees, grown in place.
+        let mut level = 0;
+        while level < out.len() {
+            let end = out.len();
+            for i in level..end {
+                for ti in 0..out[i].tables.len() {
+                    let t = out[i].tables[ti];
                     for &eid in self.incident_edges(t) {
                         if tree.edges.binary_search(&eid).is_err() {
                             continue; // not an edge of the parent tree
                         }
-                        let edge = self.edge(eid);
-                        let Some(other) = edge.other(t) else { continue };
+                        let sub = &out[i];
+                        let Some(other) = self.edge(eid).other(t) else {
+                            continue;
+                        };
                         if sub.contains_table(other) {
                             continue;
                         }
                         let mut edges = sub.edges.clone();
                         let pos = edges.binary_search(&eid).unwrap_err();
                         edges.insert(pos, eid);
-                        if !seen.insert(edges.clone()) {
+                        if seen.contains(&edges) {
                             continue;
                         }
+                        seen.insert(edges.clone());
                         let mut tables = sub.tables.clone();
                         let tpos = tables.binary_search(&other).unwrap_err();
                         tables.insert(tpos, other);
-                        next.push(JoinTree { edges, tables });
+                        out.push(JoinTree { edges, tables });
                     }
                 }
             }
-            out.extend(next.iter().cloned());
-            frontier = next;
+            level = end;
         }
         out
     }

@@ -56,6 +56,7 @@ pub mod error;
 pub mod exec;
 pub mod faults;
 pub mod graph;
+pub mod hash;
 pub mod index;
 pub mod interner;
 pub mod schema;

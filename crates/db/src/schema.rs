@@ -115,12 +115,23 @@ impl Catalog {
 
     /// Register a foreign key between already-declared columns. The two
     /// columns must have join-compatible types (numeric with numeric, or
-    /// exactly equal otherwise).
+    /// exactly equal otherwise), and the pair must not be declared yet in
+    /// either direction: the schema graph turns every declaration into an
+    /// edge, so a repeat would list every mapping over that join twice.
     pub fn add_foreign_key(&mut self, fk: ForeignKey) -> Result<(), DbError> {
         let from_t = self.table(fk.from.table);
         let to_t = self.table(fk.to.table);
         let from_c = from_t.column(fk.from.column);
         let to_c = to_t.column(fk.to.column);
+        let same_pair = |k: &ForeignKey| {
+            (k.from, k.to) == (fk.from, fk.to) || (k.from, k.to) == (fk.to, fk.from)
+        };
+        if self.foreign_keys.iter().any(same_pair) {
+            return Err(DbError::DuplicateForeignKey {
+                from: format!("{}.{}", from_t.name, from_c.name),
+                to: format!("{}.{}", to_t.name, to_c.name),
+            });
+        }
         let compatible =
             from_c.dtype == to_c.dtype || (from_c.dtype.is_numeric() && to_c.dtype.is_numeric());
         if !compatible {
@@ -284,6 +295,28 @@ mod tests {
             to: ColumnRef::new(lake, 1),
         });
         assert!(matches!(err, Err(DbError::ForeignKeyTypeMismatch { .. })));
+        assert_eq!(cat.foreign_keys().len(), 1);
+    }
+
+    #[test]
+    fn duplicate_foreign_key_rejected_in_either_direction() {
+        let mut cat = Catalog::new();
+        let lake = cat.add_table(lake_schema()).unwrap();
+        let geo = cat.add_table(geo_lake_schema()).unwrap();
+        let fk = ForeignKey {
+            from: ColumnRef::new(geo, 0),
+            to: ColumnRef::new(lake, 0),
+        };
+        cat.add_foreign_key(fk).unwrap();
+        let reversed = ForeignKey {
+            from: fk.to,
+            to: fk.from,
+        };
+        for repeat in [fk, reversed] {
+            let err = cat.add_foreign_key(repeat).unwrap_err();
+            assert!(matches!(err, DbError::DuplicateForeignKey { .. }), "{err}");
+            assert!(err.to_string().contains("geo_lake.Lake"), "{err}");
+        }
         assert_eq!(cat.foreign_keys().len(), 1);
     }
 
