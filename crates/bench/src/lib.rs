@@ -1,8 +1,8 @@
 //! # prism-bench — experiment harness for the Prism paper's evaluation
 //!
-//! Shared machinery behind the `exp-*` binaries and Criterion benches that
-//! regenerate every quantitative claim of the paper (see `DESIGN.md`'s
-//! experiment index and `EXPERIMENTS.md` for paper-vs-measured results):
+//! Shared machinery behind the `exp-*` binaries that regenerate every
+//! quantitative claim of the paper; each binary prints its paper-vs-measured
+//! summary:
 //!
 //! * **T1** — the Table 1 / Section 3 walk-through (`exp-table1`),
 //! * **E1/E2** — execution time and number of satisfying queries as
@@ -94,36 +94,6 @@ pub fn resolution_sweep(
         });
     }
     rows
-}
-
-/// Pre-built scheduling cases for one database: parsed constraints plus the
-/// deduplicated filter set of every generated task that enumerates at least
-/// one candidate. Benches of the *scheduling* phase (E3 wall-clock, the
-/// sequential-vs-parallel engine comparison) share this so candidate
-/// enumeration and filter decomposition stay out of what they measure.
-pub fn scheduling_cases(
-    db: &Database,
-    resolution: Resolution,
-    n_tasks: usize,
-    seed: u64,
-    config: &DiscoveryConfig,
-) -> Vec<(TargetConstraints, prism_core::filters::FilterSet)> {
-    let taskgen = TaskGenerator::new(db, TaskGenConfig::default());
-    let mut rng = StdRng::seed_from_u64(seed);
-    taskgen
-        .generate_many(resolution, n_tasks, &mut rng)
-        .iter()
-        .filter_map(|task| {
-            let constraints = task_constraints(task);
-            let related = find_related(db, &constraints, config);
-            let cands = enumerate_candidates(db, &related, config, None).candidates;
-            if cands.is_empty() {
-                return None;
-            }
-            let fs = build_filters(db, &cands, &constraints, None);
-            Some((constraints, fs))
-        })
-        .collect()
 }
 
 /// Per-task validation counts of every scheduler (E3 + ablations).

@@ -36,7 +36,7 @@
 //!   collapse the pool or poison a sibling's slot;
 //! * a coordinator-side **watchdog** escalates a round stuck past the
 //!   deadline: first the cooperative cancel flag, then — after a grace
-//!   window ([`abandon_grace`]) — a hard abandon that detaches the round
+//!   window ([`ABANDON_GRACE`]) — a hard abandon that detaches the round
 //!   and reconciles its missing verdicts as [`SlotVerdict::Skipped`]
 //!   (unknown). Late reports from detached workers are dropped by a
 //!   generation check.
@@ -105,16 +105,8 @@ impl CancelFlag {
 
 /// How long past the deadline the coordinator's watchdog waits for
 /// cooperative cancellation to drain a round before hard-abandoning it.
-/// Generous relative to the executor's tick granularity (~1024 rows);
-/// `PRISM_FAULT_GRACE_MS` overrides it (chaos tests shrink the window).
-fn abandon_grace() -> Duration {
-    std::env::var("PRISM_FAULT_GRACE_MS")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .map(Duration::from_millis)
-        .unwrap_or(Duration::from_millis(200))
-}
+/// Generous relative to the executor's tick granularity (~1024 rows).
+const ABANDON_GRACE: Duration = Duration::from_millis(200);
 
 impl Default for CancelFlag {
     fn default() -> CancelFlag {
@@ -190,8 +182,6 @@ pub(crate) struct BatchRunner<'p> {
     shared: &'p PoolShared,
     cancel: &'p CancelFlag,
     deadline: Option<Instant>,
-    /// Watchdog escalation window past `deadline` (see [`abandon_grace`]).
-    grace: Duration,
 }
 
 impl BatchRunner<'_> {
@@ -204,9 +194,9 @@ impl BatchRunner<'_> {
     /// Watchdog escalation: at the deadline the cancel flag is raised
     /// (cooperative — workers skip unstarted slots, in-flight executors
     /// abort at the next step tick); if the round *still* has not drained
-    /// `grace` past the deadline, the round is **hard-abandoned** — marked
-    /// detached, its pending count zeroed, its unreported slots left as
-    /// [`SlotVerdict::Skipped`] (unknown). Detached workers keep running
+    /// [`ABANDON_GRACE`] past the deadline, the round is **hard-abandoned**
+    /// — marked detached, its pending count zeroed, its unreported slots
+    /// left as [`SlotVerdict::Skipped`] (unknown). Detached workers keep running
     /// harmlessly until their next report, which the generation/abandoned
     /// check discards.
     pub fn run(&mut self, batch: &[FilterId]) -> Vec<SlotVerdict> {
@@ -232,7 +222,7 @@ impl BatchRunner<'_> {
                     if !self.cancel.is_cancelled() && now >= d {
                         self.cancel.cancel();
                     }
-                    if now >= d + self.grace {
+                    if now >= d + ABANDON_GRACE {
                         g.abandoned = true;
                         g.pending = 0;
                         g.rounds_abandoned += 1;
@@ -305,7 +295,6 @@ pub(crate) fn validate_with_pool<R>(
             shared: &shared,
             cancel: &cancel,
             deadline,
-            grace: abandon_grace(),
         };
         let result = coordinate(&mut runner);
         drop(guard); // normal path: request shutdown…
@@ -461,10 +450,10 @@ mod tests {
 
     #[test]
     fn grace_window_defaults_sane() {
-        // Whatever the environment (chaos CI shrinks it), the watchdog
-        // window must be positive — zero would abandon every round at the
-        // deadline instant, before cooperative cancellation gets a chance.
-        assert!(abandon_grace() > Duration::ZERO);
+        // The watchdog window must be positive: zero would abandon every
+        // round at the deadline instant, before cooperative cancellation
+        // gets a chance.
+        assert!(ABANDON_GRACE > Duration::ZERO);
     }
 
     #[test]

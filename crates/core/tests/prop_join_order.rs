@@ -125,42 +125,46 @@ proptest! {
 /// The skewed taskgen scenario with a hub predicate: declaration order
 /// probes straight through the hot tag's posting run, the cost order scans
 /// a zone-pruned score range instead. Both must agree on rows, and the
-/// cost order must examine at most a third of the fixed order's rows.
+/// cost order must examine at most a third of the fixed order's rows on
+/// seed 11 and at most a fifth on seed 42, where it examines 2,119 rows
+/// against 12,544 (5.92x).
 #[test]
 fn adversarial_skew_stays_under_bounded_rows_examined_ratio() {
-    let db = skewed(11, 10, 1.2);
-    let q = PjQuery {
-        nodes: vec![
-            db.catalog().table_id("Tag").unwrap(),
-            db.catalog().table_id("Item").unwrap(),
-        ],
-        joins: vec![JoinCond {
-            left_node: 0,
-            left_col: 1, // Tag.id
-            right_node: 1,
-            right_col: 0, // Item.tag
-        }],
-        projection: vec![(0, 0), (1, 1)],
-    };
-    let is_hub = |v: ValueRef<'_>| v.as_text() == Some("tag1");
-    let in_range = |v: ValueRef<'_>| {
-        v.as_number()
-            .is_some_and(|x| (1000.0..=1100.0).contains(&x))
-    };
-    let preds: [ProjPred<'_>; 2] = [
-        Some(ScanPred::new(&is_hub)),
-        Some(ScanPred::new(&in_range).with_range(1000.0, 1100.0)),
-    ];
-    let (fixed, fixed_stats) = collect(&db, &q, &preds, JoinOrder::Fixed);
-    let (cost, cost_stats) = collect(&db, &q, &preds, JoinOrder::Cost);
-    assert_eq!(fixed, cost, "adversarial plans must be row-identical");
-    assert!(!fixed.is_empty(), "the hub owns rows in every score range");
-    assert!(
-        cost_stats.rows_examined * 3 <= fixed_stats.rows_examined,
-        "cost order must dodge the hub: {} examined vs {}",
-        cost_stats.rows_examined,
-        fixed_stats.rows_examined
-    );
+    for (seed, ratio) in [(11, 3), (42, 5)] {
+        let db = skewed(seed, 10, 1.2);
+        let q = PjQuery {
+            nodes: vec![
+                db.catalog().table_id("Tag").unwrap(),
+                db.catalog().table_id("Item").unwrap(),
+            ],
+            joins: vec![JoinCond {
+                left_node: 0,
+                left_col: 1, // Tag.id
+                right_node: 1,
+                right_col: 0, // Item.tag
+            }],
+            projection: vec![(0, 0), (1, 1)],
+        };
+        let is_hub = |v: ValueRef<'_>| v.as_text() == Some("tag1");
+        let in_range = |v: ValueRef<'_>| {
+            v.as_number()
+                .is_some_and(|x| (1000.0..=1100.0).contains(&x))
+        };
+        let preds: [ProjPred<'_>; 2] = [
+            Some(ScanPred::new(&is_hub)),
+            Some(ScanPred::new(&in_range).with_range(1000.0, 1100.0)),
+        ];
+        let (fixed, fixed_stats) = collect(&db, &q, &preds, JoinOrder::Fixed);
+        let (cost, cost_stats) = collect(&db, &q, &preds, JoinOrder::Cost);
+        assert_eq!(fixed, cost, "adversarial plans must be row-identical");
+        assert!(!fixed.is_empty(), "the hub owns rows in every score range");
+        assert!(
+            cost_stats.rows_examined * ratio <= fixed_stats.rows_examined,
+            "cost order must dodge the hub on seed {seed}: {} examined vs {}, need {ratio}x",
+            cost_stats.rows_examined,
+            fixed_stats.rows_examined
+        );
+    }
 }
 
 /// One cost-ordered prepared plan shared by 4 threads (each with its own

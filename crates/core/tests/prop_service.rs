@@ -5,9 +5,6 @@
 //! single-session run accepts, and a session validated by the
 //! work-stealing pool at 2/4/8 threads accepts exactly the 1-thread
 //! (sequential-loop) set.
-//!
-//! `PRISM_SERVICE_SESSIONS` sizes the concurrent fan-out (default 2; CI's
-//! multi-session smoke leg sets 4).
 
 use prism_core::scheduler::SchedulerKind;
 use prism_core::{DiscoveryConfig, DiscoveryService, SessionConfig, SessionHandle};
@@ -26,13 +23,8 @@ fn db() -> &'static Arc<Database> {
     DB.get_or_init(|| Arc::new(mondial(42, 1)))
 }
 
-fn service_sessions() -> usize {
-    std::env::var("PRISM_SERVICE_SESSIONS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(2)
-}
+/// Concurrent sessions per service.
+const SESSIONS: usize = 4;
 
 /// PathLength keeps the properties estimator-free (scheduling order is
 /// irrelevant to the accept set, which is all these properties compare).
@@ -102,7 +94,6 @@ proptest! {
         seed in 0u64..1_000,
         resolution in arb_resolution(),
     ) {
-        let sessions = service_sessions();
         for task in &generate_task(seed, resolution) {
             // Reference: one session, one thread, its own service.
             let seq_svc = DiscoveryService::new(Arc::clone(db()), engine_config(1));
@@ -113,7 +104,7 @@ proptest! {
             // N sessions describing the same task, racing on one service
             // (shared plan cache, shared thread budget, shared database).
             let svc = DiscoveryService::new(Arc::clone(db()), engine_config(4));
-            let handles: Vec<SessionHandle> = (0..sessions)
+            let handles: Vec<SessionHandle> = (0..SESSIONS)
                 .map(|_| task_session(&svc, task, 2))
                 .collect();
             let accepted: Vec<Vec<String>> = std::thread::scope(|scope| {
@@ -128,7 +119,11 @@ proptest! {
                     .collect();
                 joins.into_iter().map(|j| j.join().unwrap()).collect()
             });
-            prop_assert_eq!(svc.rounds_run(), sessions as u64);
+            prop_assert_eq!(svc.rounds_run(), SESSIONS as u64);
+            // Sessions racing on a cold cache compile each class at most
+            // once between them.
+            let cache = svc.plan_cache();
+            prop_assert!((cache.compiled as u64) <= cache.misses);
             for (i, keys) in accepted.iter().enumerate() {
                 prop_assert_eq!(
                     keys, &expected,
@@ -166,16 +161,14 @@ proptest! {
 }
 
 /// Deterministic multi-session smoke on the walkthrough constraints with
-/// the full default engine (Bayes scheduler, trained estimator): the leg
-/// CI runs at `PRISM_SERVICE_SESSIONS=4` under the validation-threads
-/// matrix.
+/// the full default engine (Bayes scheduler, trained estimator). One cold
+/// session fills the service-global plan cache; then `SESSIONS` warm
+/// sessions run concurrently, and each must accept the cold set without
+/// compiling a single plan, every class served by the shared cache.
 #[test]
 fn walkthrough_smoke_across_concurrent_sessions() {
-    let sessions = service_sessions();
     let svc = DiscoveryService::new(Arc::clone(db()), DiscoveryConfig::default());
-    let mut handles: Vec<SessionHandle> =
-        (0..sessions).map(|_| svc.open_default_session()).collect();
-    for session in &mut handles {
+    let describe = |session: &mut SessionHandle| {
         session
             .set_sample_cell(0, 0, "California || Nevada")
             .unwrap();
@@ -183,25 +176,46 @@ fn walkthrough_smoke_across_concurrent_sessions() {
         session
             .set_metadata_cell(2, "DataType=='decimal' AND MinValue>='0'")
             .unwrap();
+    };
+    let mut cold = svc.open_default_session();
+    describe(&mut cold);
+    let cold_plans = cold.start_searching().unwrap().stats.exec.plans_built;
+    let expected = accept_set(&cold);
+    assert!(!expected.is_empty(), "walkthrough discovers queries");
+    assert!(
+        cold_plans > 0,
+        "the cold session compiles the round's classes"
+    );
+
+    let mut handles: Vec<SessionHandle> =
+        (0..SESSIONS).map(|_| svc.open_default_session()).collect();
+    for session in &mut handles {
+        describe(session);
     }
-    let accepted: Vec<Vec<String>> = std::thread::scope(|scope| {
+    let warm: Vec<(Vec<String>, u64)> = std::thread::scope(|scope| {
         let joins: Vec<_> = handles
             .into_iter()
             .map(|mut session| {
                 scope.spawn(move || {
-                    session.start_searching().unwrap();
-                    accept_set(&session)
+                    let plans = session.start_searching().unwrap().stats.exec.plans_built;
+                    (accept_set(&session), plans)
                 })
             })
             .collect();
         joins.into_iter().map(|j| j.join().unwrap()).collect()
     });
-    assert!(!accepted[0].is_empty(), "walkthrough discovers queries");
-    for keys in &accepted[1..] {
-        assert_eq!(keys, &accepted[0], "concurrent sessions diverged");
+    for (i, (keys, plans)) in warm.iter().enumerate() {
+        assert_eq!(
+            keys, &expected,
+            "warm session {i} diverged from the cold round"
+        );
+        assert_eq!(
+            *plans, 0,
+            "warm session {i} compiled plans the shared cache holds"
+        );
     }
-    assert_eq!(svc.sessions_opened(), sessions as u64);
-    assert_eq!(svc.rounds_run(), sessions as u64);
+    assert_eq!(svc.sessions_opened(), SESSIONS as u64 + 1);
+    assert_eq!(svc.rounds_run(), SESSIONS as u64 + 1);
     // At most one session compiled each class: the cache registered every
     // class once (misses) and served every later request from the slot.
     let cache = svc.plan_cache();

@@ -49,21 +49,13 @@ const SAMPLE_ROWS: usize = 4096;
 /// thread spawn overhead would dominate.
 const PARALLEL_MIN_BYTES: usize = 64 * 1024;
 
-/// Parse threads for the streaming ingest: `PRISM_INGEST_THREADS`, else the
-/// machine's available parallelism (capped — ingest is memory-bound well
-/// before 8 cores).
-fn env_ingest_threads() -> usize {
-    std::env::var("PRISM_INGEST_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .map(|n| n.min(64))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        })
+/// Parse threads for the streaming ingest: the machine's available
+/// parallelism, capped because ingest is memory-bound well before 8 cores.
+fn ingest_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(8)
 }
 
 /// One scanned field: a byte span of the raw input, plus whether any quote
@@ -623,7 +615,7 @@ impl DatabaseBuilder {
     ///
     /// This is the zero-`Value` path: fields are parsed as byte spans
     /// straight into [`ColumnBatch`]es, in parallel chunks when the input
-    /// is large (`PRISM_INGEST_THREADS` steers the pool). Semantics match
+    /// is large, on up to 8 threads. Semantics match
     /// the legacy per-row loader except for the quote-aware trim fix
     /// (quoted text keeps its padding).
     pub fn add_table_from_csv(
@@ -631,7 +623,7 @@ impl DatabaseBuilder {
         name: impl Into<String>,
         csv_text: &str,
     ) -> Result<TableId, DbError> {
-        self.ingest_csv(name.into(), csv_text, env_ingest_threads())
+        self.ingest_csv(name.into(), csv_text, ingest_threads())
     }
 
     /// [`DatabaseBuilder::add_table_from_csv`] with an explicit parse
@@ -657,14 +649,14 @@ impl DatabaseBuilder {
             path: path.display().to_string(),
             message: e.to_string(),
         })?;
-        self.ingest_csv(name.into(), &text, env_ingest_threads())
+        self.ingest_csv(name.into(), &text, ingest_threads())
     }
 
     /// The pre-streaming loader: materializes every row as
     /// `Vec<(String, _)>`, converts each cell through [`Value`], and
-    /// inserts row by row. Kept as the bench baseline the streaming path
-    /// is gated against, and as an independent oracle for equivalence
-    /// tests. Trim semantics match the streaming path (quote-aware).
+    /// inserts row by row. Kept as an independent oracle for the streaming
+    /// path's equivalence tests. Trim semantics match the streaming path
+    /// (quote-aware).
     pub fn add_table_from_csv_legacy(
         &mut self,
         name: impl Into<String>,

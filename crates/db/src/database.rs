@@ -219,7 +219,6 @@ impl DatabaseBuilder {
                 let col_ref = ColumnRef::new(tid, c);
                 let col = table.column(c);
                 if let ColumnData::Sym(codes) = col.data() {
-                    let is_text = col.dtype() == DataType::Text;
                     let mut key_cache: HashMap<u32, String> = HashMap::new();
                     for (r, &code) in codes.iter().enumerate() {
                         if col.is_null(r) {
@@ -230,7 +229,7 @@ impl DatabaseBuilder {
                                 .index_key()
                                 .expect("non-null cell has a key")
                         });
-                        index.add_key(col_ref, r as u32, key, is_text);
+                        index.add_key(col_ref, r as u32, key);
                     }
                 } else {
                     for (r, v) in col.iter(&symbols).enumerate() {
@@ -242,12 +241,11 @@ impl DatabaseBuilder {
 
         // Column statistics. Tables past the exact threshold use the
         // sampled path so a 10M-row ingest does not pay a second full
-        // per-column scan (`PRISM_STATS_EXACT_ROWS` steers the cutover).
-        let stats_exact_rows = crate::stats::env_stats_exact_rows();
+        // per-column scan.
         let mut stats = StatsStore::new();
         for (tid, schema) in catalog.tables() {
             let table = &tables[tid.index()];
-            let sampled = table.row_count() > stats_exact_rows;
+            let sampled = table.row_count() > crate::stats::STATS_EXACT_ROWS;
             let per_col = schema
                 .columns
                 .iter()

@@ -18,13 +18,11 @@
 //! Section 2.3 of the paper: *"The way we validate a value constraint on a
 //! column is … leveraging the inverted index provided in most DBMS systems."*
 //! Commercial systems expose full-text indexes; [`InvertedIndex`] is our own
-//! equivalent. Two granularities are maintained:
-//!
-//! * **cell index** — the canonical form of the whole cell
-//!   ([`crate::types::Value::index_key`]) maps to its postings; this answers
-//!   the default equality semantics of a value constraint, and
-//! * **token index** — individual lowercase words of text cells map to
-//!   postings; this answers `CONTAINS`-style keyword constraints.
+//! equivalent. The canonical form of each whole cell
+//! ([`crate::types::Value::index_key`]) maps to its postings, which answers
+//! the default equality semantics of a value constraint. Other constraints,
+//! `CONTAINS` among them, fall back to related-column search's early-exit
+//! scan.
 //!
 //! Postings are grouped per column because related-column discovery asks
 //! "which columns contain this keyword?" far more often than it needs the row
@@ -197,7 +195,6 @@ pub struct Posting {
 #[derive(Debug, Default)]
 pub struct InvertedIndex {
     cells: HashMap<String, Vec<Posting>>,
-    tokens: HashMap<String, Vec<Posting>>,
 }
 
 impl InvertedIndex {
@@ -210,20 +207,13 @@ impl InvertedIndex {
         let Some(key) = value.index_key() else {
             return; // NULLs are not indexed.
         };
-        self.add_key(column, row, &key, matches!(value, ValueRef::Text(_)));
+        self.add_key(column, row, &key);
     }
 
     /// Index one cell whose canonical key is already computed. Dictionary
     /// columns canonicalize each distinct symbol once and call this per row.
-    pub fn add_key(&mut self, column: ColumnRef, row: u32, key: &str, is_text: bool) {
+    pub fn add_key(&mut self, column: ColumnRef, row: u32, key: &str) {
         push_posting(&mut self.cells, key, column, row);
-        if is_text {
-            for tok in tokenize(key) {
-                if tok.len() < key.len() {
-                    push_posting(&mut self.tokens, tok, column, row);
-                }
-            }
-        }
     }
 
     /// Postings of cells whose canonical form equals `keyword`
@@ -233,29 +223,6 @@ impl InvertedIndex {
             .get(&normalize(keyword))
             .map(|v| v.as_slice())
             .unwrap_or(&[])
-    }
-
-    /// Postings of cells *containing* `keyword` as a whole token, unioned
-    /// with exact-cell matches.
-    pub fn lookup_contains(&self, keyword: &str) -> Vec<Posting> {
-        let key = normalize(keyword);
-        let mut merged: HashMap<ColumnRef, Vec<u32>> = HashMap::new();
-        for p in self.cells.get(&key).into_iter().flatten() {
-            merged.entry(p.column).or_default().extend(&p.rows);
-        }
-        for p in self.tokens.get(&key).into_iter().flatten() {
-            merged.entry(p.column).or_default().extend(&p.rows);
-        }
-        let mut out: Vec<Posting> = merged
-            .into_iter()
-            .map(|(column, mut rows)| {
-                rows.sort_unstable();
-                rows.dedup();
-                Posting { column, rows }
-            })
-            .collect();
-        out.sort_by_key(|p| p.column);
-        out
     }
 
     /// Columns that contain `keyword` as an exact cell value.
@@ -299,11 +266,6 @@ fn normalize(s: &str) -> String {
     s.trim().to_lowercase()
 }
 
-fn tokenize(s: &str) -> impl Iterator<Item = &str> {
-    s.split(|c: char| !c.is_alphanumeric())
-        .filter(|t| !t.is_empty())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,28 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn contains_finds_tokens_inside_cells() {
-        let ix = sample_index();
-        let posts = ix.lookup_contains("lake");
-        // "lake" occurs as a token of "Lake Tahoe" (two columns) and of
-        // "Crater Lake"; no cell equals "lake" outright.
-        let cols: Vec<ColumnRef> = posts.iter().map(|p| p.column).collect();
-        assert_eq!(cols, vec![col(0, 0), col(1, 0)]);
-        let rows0 = &posts[0].rows;
-        assert_eq!(rows0, &vec![0, 1]);
-    }
-
-    #[test]
-    fn contains_merges_exact_and_token_hits() {
-        let mut ix = InvertedIndex::new();
-        ix.add(col(0, 0), 0, ValueRef::Text("Tahoe"));
-        ix.add(col(0, 0), 1, ValueRef::Text("Lake Tahoe"));
-        let posts = ix.lookup_contains("tahoe");
-        assert_eq!(posts.len(), 1);
-        assert_eq!(posts[0].rows, vec![0, 1]);
-    }
-
-    #[test]
     fn nulls_are_not_indexed() {
         let ix = sample_index();
         assert!(ix.lookup_cell("NULL").is_empty());
@@ -384,7 +324,6 @@ mod tests {
     fn missing_keyword_yields_empty() {
         let ix = sample_index();
         assert!(ix.lookup_cell("atlantis").is_empty());
-        assert!(ix.lookup_contains("atlantis").is_empty());
     }
 
     mod csr {

@@ -161,19 +161,10 @@ const HISTOGRAM_BUCKETS: usize = 32;
 /// this many rows are touched per column.
 const SAMPLE_TARGET: usize = 65_536;
 
-/// Default for `PRISM_STATS_EXACT_ROWS`: tables at or under this row count
-/// get exact statistics at build; larger tables use the sampled path so a
-/// 10M-row ingest does not pay a second full scan per column.
-pub const DEFAULT_STATS_EXACT_ROWS: usize = 1_000_000;
-
-/// The exact-stats row threshold from `PRISM_STATS_EXACT_ROWS`, else
-/// [`DEFAULT_STATS_EXACT_ROWS`].
-pub(crate) fn env_stats_exact_rows() -> usize {
-    std::env::var("PRISM_STATS_EXACT_ROWS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(DEFAULT_STATS_EXACT_ROWS)
-}
+/// Tables at or under this row count get exact statistics at build; larger
+/// tables use the sampled path so a 10M-row ingest does not pay a second
+/// full scan per column.
+pub(crate) const STATS_EXACT_ROWS: usize = 1_000_000;
 
 impl ColumnStats {
     /// Collect exact statistics for column `column` of `table`, reading
