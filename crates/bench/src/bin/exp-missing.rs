@@ -8,20 +8,20 @@
 //! Usage: `cargo run --release -p prism-bench --bin exp-missing [tasks]`
 
 use prism_bench::{render_table, task_constraints};
-use prism_core::{Discovery, DiscoveryConfig};
+use prism_core::{DiscoveryConfig, DiscoveryService};
 use prism_datasets::{mondial, Resolution, TaskGenConfig, TaskGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn main() {
     let n_tasks: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(30);
-    let db = mondial(42, 1);
     // Report the full satisfying set, not the UI's capped list.
-    let engine = Discovery::new(
-        &db,
+    let svc = DiscoveryService::new(
+        Arc::new(mondial(42, 1)),
         DiscoveryConfig {
             result_limit: 100_000,
             ..DiscoveryConfig::default()
@@ -40,7 +40,7 @@ fn main() {
     // Tasks project 3 columns (min=max=3) so up to 2 cells can be blanked.
     for missing in 0..=2usize {
         let taskgen = TaskGenerator::new(
-            &db,
+            svc.database(),
             TaskGenConfig {
                 min_columns: 3,
                 max_columns: 3,
@@ -60,7 +60,7 @@ fn main() {
         let mut max_q = 0usize;
         let mut total_time = std::time::Duration::ZERO;
         for task in &tasks {
-            let result = engine.run(&task_constraints(task));
+            let result = svc.run(&task_constraints(task));
             if result.queries.iter().any(|q| q.key == task.truth_key) {
                 found += 1;
             }

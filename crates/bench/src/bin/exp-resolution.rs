@@ -12,8 +12,9 @@
 //! Usage: `cargo run --release -p prism-bench --bin exp-resolution [tasks]`
 
 use prism_bench::{render_table, resolution_sweep};
-use prism_core::DiscoveryConfig;
+use prism_core::{DiscoveryConfig, DiscoveryService};
 use prism_datasets::{imdb, mondial, nba, Resolution};
+use std::sync::Arc;
 
 fn main() {
     let n_tasks: usize = std::env::args()
@@ -32,7 +33,8 @@ fn main() {
             db.name(),
             n_tasks
         );
-        let rows = resolution_sweep(&db, &Resolution::ALL, n_tasks, 0xE1E2, &config);
+        let svc = DiscoveryService::new(Arc::new(db), config.clone());
+        let rows = resolution_sweep(&svc, &Resolution::ALL, n_tasks, 0xE1E2);
         let mut table = vec![vec![
             "resolution".to_string(),
             "tasks".to_string(),

@@ -9,11 +9,13 @@
 use prism_bench::{render_table, timed};
 
 use prism_core::explain::all_picks;
-use prism_core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism_core::{DiscoveryConfig, DiscoveryService, TargetConstraints};
 use prism_datasets::mondial;
+use std::sync::Arc;
 
 fn main() {
-    let db = mondial(42, 1);
+    let svc = DiscoveryService::new(Arc::new(mondial(42, 1)), DiscoveryConfig::default());
+    let db = svc.database();
     println!("== T1: Table 1 / Section 3 walk-through (Mondial) ==\n");
     println!(
         "database: {} tables, {} join edges, {} rows",
@@ -41,8 +43,7 @@ fn main() {
     println!("  sample row:  [\"California || Nevada\", \"Lake Tahoe\", <empty>]");
     println!("  metadata  :  [ , , \"DataType=='decimal' AND MinValue>='0'\"]");
 
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
-    let (result, wall) = timed(|| engine.run(&constraints));
+    let (result, wall) = timed(|| svc.run(&constraints));
     println!(
         "\ndiscovered {} satisfying schema mapping queries in {:?} \
          ({} candidates, {} filters, {} validations):",
@@ -67,7 +68,7 @@ fn main() {
 
     // Table 1: execute the desired query and print the paper's rows.
     println!("\nTable 1 (desired target schema), as produced by the discovered query:");
-    let rows = hit.candidate.query.execute(&db, 10_000).unwrap();
+    let rows = hit.candidate.query.execute(db, 10_000).unwrap();
     let mut table = vec![vec![
         "State".to_string(),
         "Lake Name".to_string(),
@@ -93,7 +94,7 @@ fn main() {
     // Figure 4b/4c: SQL + explanation graph with all constraints drawn.
     println!("\nFigure 4b (SQL of the selected query):\n  {}", hit.sql);
     let graph =
-        prism_core::explain::explain(&db, &hit.candidate, &constraints, &all_picks(&constraints));
+        prism_core::explain::explain(db, &hit.candidate, &constraints, &all_picks(&constraints));
     println!("\nFigure 4c (query graph with all constraints):");
     print!("{}", graph.to_ascii());
     println!("\nGraphviz DOT:\n{}", graph.to_dot());

@@ -17,7 +17,7 @@ use prism_core::scheduler::{
 };
 use prism_core::{
     candidates::enumerate_candidates, filters::build_filters, related::find_related,
-    DiscoveryConfig, TargetConstraints,
+    DiscoveryConfig, DiscoveryService, TargetConstraints,
 };
 use prism_datasets::{MappingTask, Resolution, TaskGenConfig, TaskGenerator};
 use prism_db::Database;
@@ -48,16 +48,15 @@ pub struct ResolutionRow {
     pub timeouts: usize,
 }
 
-/// Run the E1/E2 sweep: `n_tasks` discovery rounds at each resolution.
+/// Run the E1/E2 sweep: `n_tasks` discovery rounds at each resolution,
+/// on `svc`'s database under its configuration.
 pub fn resolution_sweep(
-    db: &Database,
+    svc: &DiscoveryService,
     resolutions: &[Resolution],
     n_tasks: usize,
     seed: u64,
-    config: &DiscoveryConfig,
 ) -> Vec<ResolutionRow> {
-    let engine = prism_core::Discovery::new(db, config.clone());
-    let taskgen = TaskGenerator::new(db, TaskGenConfig::default());
+    let taskgen = TaskGenerator::new(svc.database(), TaskGenConfig::default());
     let mut rows = Vec::new();
     for &resolution in resolutions {
         // Same task seed per resolution: each level re-derives constraints
@@ -71,7 +70,7 @@ pub fn resolution_sweep(
         let mut timeouts = 0usize;
         for task in &tasks {
             let constraints = task_constraints(task);
-            let result = engine.run(&constraints);
+            let result = svc.run(&constraints);
             if result.queries.iter().any(|q| q.key == task.truth_key) {
                 truth_found += 1;
             }
@@ -255,17 +254,12 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 mod tests {
     use super::*;
     use prism_datasets::mondial;
+    use std::sync::Arc;
 
     #[test]
     fn resolution_sweep_produces_rows_with_found_truths() {
-        let db = mondial(42, 1);
-        let rows = resolution_sweep(
-            &db,
-            &[Resolution::Exact, Resolution::Disjunction],
-            4,
-            7,
-            &DiscoveryConfig::default(),
-        );
+        let svc = DiscoveryService::new(Arc::new(mondial(42, 1)), DiscoveryConfig::default());
+        let rows = resolution_sweep(&svc, &[Resolution::Exact, Resolution::Disjunction], 4, 7);
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(r.tasks >= 3, "{:?}", r);

@@ -1,9 +1,11 @@
 //! The end-to-end discovery pipeline (Figure 2).
 //!
 //! `constraints → related columns → candidate queries → filter validation →
-//! final schema mapping queries`, under the interactive time budget. A
-//! [`Discovery`] owns the trained Bayesian estimator (training happens "a
-//! priori", like the paper's preprocessing) and can be reused across rounds.
+//! final schema mapping queries`, under the interactive time budget.
+//! `run_round` is the one pipeline; [`crate::service::DiscoveryService`]
+//! is its one entry point, which owns the trained Bayesian estimator
+//! (training happens "a priori", like the paper's preprocessing), the
+//! shared plan cache and the thread budget, and calls it for every round.
 
 use crate::candidates::{enumerate_candidates, Candidate};
 use crate::config::DiscoveryConfig;
@@ -16,7 +18,7 @@ use crate::scheduler::{
     SchedulerKind,
 };
 use crate::validate::filter_query;
-use prism_bayes::{BayesEstimator, TrainConfig};
+use prism_bayes::BayesEstimator;
 use prism_db::{canonical_key, render_sql, Database, ExecStats, Value};
 use std::time::{Duration, Instant};
 
@@ -99,8 +101,9 @@ pub struct DiscoveryStats {
     /// Filters resolved by success/failure propagation.
     pub implied_successes: u64,
     pub implied_failures: u64,
-    /// Hindsight-optimal validations (populated for the Oracle scheduler,
-    /// or on request via [`Discovery::run_with_oracle`]).
+    /// Hindsight-optimal validations, filled by the Oracle scheduler
+    /// (`None` under the others; E3 computes the optimum beside them with
+    /// [`crate::scheduler::oracle_schedule`]).
     pub oracle_validations: Option<u64>,
     /// Raw execution work.
     pub exec: ExecStats,
@@ -172,89 +175,17 @@ impl DiscoveryResult {
     }
 }
 
-/// A reusable discovery engine over one database.
-pub struct Discovery<'a> {
-    db: &'a Database,
-    config: DiscoveryConfig,
-    estimator: Option<BayesEstimator>,
-}
-
-impl<'a> Discovery<'a> {
-    /// Create an engine; trains the Bayesian estimator a priori when the
-    /// configured scheduler needs it.
-    pub fn new(db: &'a Database, config: DiscoveryConfig) -> Discovery<'a> {
-        let estimator = match config.scheduler {
-            SchedulerKind::Bayes => Some(BayesEstimator::train(db, &TrainConfig::default())),
-            _ => None,
-        };
-        Discovery {
-            db,
-            config,
-            estimator,
-        }
-    }
-
-    /// Use a pre-trained estimator (e.g. shared across engines, or an
-    /// ablation variant without join indicators).
-    pub fn with_estimator(mut self, estimator: BayesEstimator) -> Discovery<'a> {
-        self.estimator = Some(estimator);
-        self
-    }
-
-    pub fn config(&self) -> &DiscoveryConfig {
-        &self.config
-    }
-
-    pub fn database(&self) -> &'a Database {
-        self.db
-    }
-
-    /// Run one discovery round.
-    pub fn run(&self, constraints: &TargetConstraints) -> DiscoveryResult {
-        self.run_inner(constraints, false)
-    }
-
-    /// Run one round and additionally compute the hindsight optimum
-    /// (`stats.oracle_validations`) — used by the E3 experiment.
-    pub fn run_with_oracle(&self, constraints: &TargetConstraints) -> DiscoveryResult {
-        self.run_inner(constraints, true)
-    }
-
-    fn run_inner(&self, constraints: &TargetConstraints, want_oracle: bool) -> DiscoveryResult {
-        run_round(
-            self.db,
-            &self.config,
-            self.estimator.as_ref(),
-            constraints,
-            RoundOptions {
-                want_oracle,
-                shared_plans: None,
-                threads: self.config.validation_threads,
-            },
-        )
-    }
-}
-
-/// Per-round knobs beyond [`DiscoveryConfig`]: the borrowed [`Discovery`]
-/// engine and the owned [`crate::service::SessionHandle`] both funnel into
-/// [`run_round`], differing only here.
-pub(crate) struct RoundOptions<'s> {
-    pub want_oracle: bool,
-    /// Service-global plan cache; `None` = a private per-round cache.
-    pub shared_plans: Option<&'s SharedPlanCache>,
-    /// Validation worker count for this round (the service leases it from
-    /// its thread budget; the borrowed engine uses its config verbatim).
-    pub threads: usize,
-}
-
 /// One discovery round: `constraints → related columns → candidates →
-/// filters → scheduled validation → ranked results`.
+/// filters → scheduled validation → ranked results`. Filters prepare their
+/// plans through the service's `plans`, and greedy schedulers validate
+/// `threads` filters per round.
 pub(crate) fn run_round(
     db: &Database,
     config: &DiscoveryConfig,
     estimator: Option<&BayesEstimator>,
     constraints: &TargetConstraints,
-    opts: RoundOptions<'_>,
+    plans: &SharedPlanCache,
+    threads: usize,
 ) -> DiscoveryResult {
     let start = Instant::now();
     let deadline = start + config.time_budget;
@@ -285,7 +216,7 @@ pub(crate) fn run_round(
         &cand_set.candidates,
         constraints,
         Some(deadline),
-        opts.shared_plans,
+        Some(plans),
     );
     stats.filters = fs.len();
     stats.truncated |= fs.truncated;
@@ -295,7 +226,6 @@ pub(crate) fn run_round(
     let ctx = SchedCtx::new(db, constraints, &fs)
         .with_deadline(Some(deadline))
         .with_faults(config.faults.clone());
-    let threads = opts.threads;
     let greedy = |model: &dyn crate::scheduler::FailureModel| {
         Scheduler::run(&ctx, Engine::Greedy { model, threads })
     };
@@ -312,11 +242,6 @@ pub(crate) fn run_round(
             o
         }
     };
-    if opts.want_oracle && stats.oracle_validations.is_none() {
-        let (v, _) = oracle_schedule(db, constraints, &fs);
-        stats.oracle_validations = Some(v);
-    }
-
     stats.validations = outcome.validations;
     stats.implied_successes = outcome.implied_successes;
     stats.implied_failures = outcome.implied_failures;
@@ -428,7 +353,9 @@ fn estimate_result_rows(db: &Database, cand: &Candidate) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::DiscoveryService;
     use prism_datasets::{mondial, nba};
+    use std::sync::Arc;
 
     fn some(s: &str) -> Option<String> {
         Some(s.to_string())
@@ -443,11 +370,22 @@ mod tests {
         .unwrap()
     }
 
+    fn service(db: Database, config: DiscoveryConfig) -> DiscoveryService {
+        DiscoveryService::new(Arc::new(db), config)
+    }
+
+    /// One fault-free round. The service contains a coordinator panic as
+    /// an empty degraded result, which would pass an emptiness check.
+    fn run(svc: &DiscoveryService, tc: &TargetConstraints) -> DiscoveryResult {
+        let result = svc.run(tc);
+        assert!(!result.degraded, "{:?}", result.fault_reports);
+        result
+    }
+
     #[test]
     fn end_to_end_walkthrough_finds_the_desired_query() {
-        let db = mondial(42, 1);
-        let engine = Discovery::new(&db, DiscoveryConfig::default());
-        let result = engine.run(&walkthrough_constraints());
+        let svc = service(mondial(42, 1), DiscoveryConfig::default());
+        let result = run(&svc, &walkthrough_constraints());
         assert!(!result.timed_out);
         assert!(!result.queries.is_empty());
         let want = "SELECT geo_lake.Province, Lake.Name, Lake.Area \
@@ -466,17 +404,33 @@ mod tests {
 
     #[test]
     fn all_schedulers_find_the_same_queries() {
-        let db = mondial(42, 1);
+        let db = Arc::new(mondial(42, 1));
         let tc = walkthrough_constraints();
         let mut keys: Vec<Vec<String>> = Vec::new();
+        let mut bayes_validations = 0;
         for kind in [
             SchedulerKind::Naive,
             SchedulerKind::PathLength,
             SchedulerKind::Bayes,
             SchedulerKind::Oracle,
         ] {
-            let engine = Discovery::new(&db, DiscoveryConfig::with_scheduler(kind));
-            let result = engine.run(&tc);
+            let svc = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::with_scheduler(kind));
+            let result = run(&svc, &tc);
+            // Only the Oracle scheduler computes the hindsight optimum, and
+            // no scheduler validates fewer filters than it.
+            match kind {
+                SchedulerKind::Oracle => {
+                    let oracle = result.stats.oracle_validations.expect("Oracle fills it");
+                    assert!(
+                        oracle <= bayes_validations,
+                        "{oracle} > {bayes_validations}"
+                    );
+                }
+                _ => assert_eq!(result.stats.oracle_validations, None, "{kind:?}"),
+            }
+            if kind == SchedulerKind::Bayes {
+                bayes_validations = result.stats.validations;
+            }
             let mut ks: Vec<String> = result.queries.iter().map(|q| q.key.clone()).collect();
             ks.sort();
             keys.push(ks);
@@ -488,10 +442,9 @@ mod tests {
 
     #[test]
     fn unsatisfiable_constraints_return_no_queries_quickly() {
-        let db = mondial(42, 1);
-        let engine = Discovery::new(&db, DiscoveryConfig::default());
+        let svc = service(mondial(42, 1), DiscoveryConfig::default());
         let tc = TargetConstraints::parse(1, &[vec![some("Atlantis Prime")]], &[]).unwrap();
-        let result = engine.run(&tc);
+        let result = run(&svc, &tc);
         assert!(result.queries.is_empty());
         assert!(!result.timed_out);
         assert_eq!(result.stats.candidates, 0);
@@ -499,29 +452,18 @@ mod tests {
 
     #[test]
     fn tiny_time_budget_reports_timeout() {
-        let db = mondial(42, 2);
         let config = DiscoveryConfig {
             time_budget: Duration::from_nanos(1),
             ..DiscoveryConfig::default()
         };
-        let engine = Discovery::new(&db, config);
-        let result = engine.run(&walkthrough_constraints());
+        let svc = service(mondial(42, 2), config);
+        let result = run(&svc, &walkthrough_constraints());
         assert!(result.timed_out || result.queries.is_empty());
     }
 
     #[test]
-    fn oracle_stats_available_on_request() {
-        let db = mondial(42, 1);
-        let engine = Discovery::new(&db, DiscoveryConfig::default());
-        let result = engine.run_with_oracle(&walkthrough_constraints());
-        let oracle = result.stats.oracle_validations.expect("requested");
-        assert!(oracle <= result.stats.validations);
-    }
-
-    #[test]
     fn works_on_nba_with_parallel_edges() {
-        let db = nba(42, 1);
-        let engine = Discovery::new(&db, DiscoveryConfig::default());
+        let svc = service(nba(42, 1), DiscoveryConfig::default());
         // "Lakers" joined with a numeric score column via metadata.
         let tc = TargetConstraints::parse(
             2,
@@ -529,7 +471,7 @@ mod tests {
             &[None, some("DataType=='int' AND MinValue>='0'")],
         )
         .unwrap();
-        let result = engine.run(&tc);
+        let result = run(&svc, &tc);
         assert!(!result.queries.is_empty());
         // Both home and away join routes should be discoverable.
         let has_home = result
@@ -549,9 +491,8 @@ mod tests {
 
     #[test]
     fn results_are_ranked_simplest_and_most_specific_first() {
-        let db = mondial(42, 1);
-        let engine = Discovery::new(&db, DiscoveryConfig::default());
-        let result = engine.run(&walkthrough_constraints());
+        let svc = service(mondial(42, 1), DiscoveryConfig::default());
+        let result = run(&svc, &walkthrough_constraints());
         // Join counts are non-decreasing down the result list.
         let joins: Vec<usize> = result
             .queries
@@ -576,13 +517,12 @@ mod tests {
 
     #[test]
     fn preview_table_renders_headers_and_rows() {
-        let db = mondial(42, 1);
-        let engine = Discovery::new(&db, DiscoveryConfig::default());
-        let result = engine.run(&walkthrough_constraints());
+        let svc = service(mondial(42, 1), DiscoveryConfig::default());
+        let result = run(&svc, &walkthrough_constraints());
         let want = "SELECT geo_lake.Province, Lake.Name, Lake.Area \
                     FROM Lake, geo_lake WHERE geo_lake.Lake = Lake.Name";
         let q = result.queries.iter().find(|q| q.sql == want).unwrap();
-        let table = q.preview_table(&db);
+        let table = q.preview_table(svc.database());
         assert!(table.contains("geo_lake.Province"), "{table}");
         assert!(table.contains("Lake.Area"));
         assert!(table.contains("Lake Tahoe"));
@@ -593,13 +533,12 @@ mod tests {
 
     #[test]
     fn result_limit_caps_returned_queries() {
-        let db = mondial(42, 1);
         let config = DiscoveryConfig {
             result_limit: 1,
             ..DiscoveryConfig::default()
         };
-        let engine = Discovery::new(&db, config);
-        let result = engine.run(&walkthrough_constraints());
+        let svc = service(mondial(42, 1), config);
+        let result = run(&svc, &walkthrough_constraints());
         assert_eq!(result.queries.len(), 1);
     }
 
@@ -607,15 +546,15 @@ mod tests {
     fn capped_results_are_a_prefix_of_the_uncapped_ranking() {
         use prism_datasets::{imdb, Resolution, TaskGenConfig, TaskGenerator};
         use rand::{rngs::StdRng, SeedableRng};
-        let run = |db: &Database, tc: &TargetConstraints, limit: usize| {
+        let ranked = |db: &Arc<Database>, tc: &TargetConstraints, limit: usize| {
             let config = DiscoveryConfig {
                 result_limit: limit,
                 ..DiscoveryConfig::with_scheduler(SchedulerKind::PathLength)
             };
-            Discovery::new(db, config).run(tc).queries
+            run(&DiscoveryService::new(Arc::clone(db), config), tc).queries
         };
-        let mut rounds: Vec<(Database, Vec<TargetConstraints>)> =
-            vec![(mondial(42, 1), vec![walkthrough_constraints()])];
+        let mut rounds: Vec<(Arc<Database>, Vec<TargetConstraints>)> =
+            vec![(Arc::new(mondial(42, 1)), vec![walkthrough_constraints()])];
         for (i, db) in [imdb(42, 1), nba(42, 1)].into_iter().enumerate() {
             let taskgen = TaskGenerator::new(&db, TaskGenConfig::default());
             let mut rng = StdRng::seed_from_u64(i as u64);
@@ -625,16 +564,16 @@ mod tests {
                 .map(|t| TargetConstraints::parse(t.column_count, &t.samples, &t.metadata))
                 .collect::<Result<_, _>>()
                 .unwrap();
-            rounds.push((db, tasks));
+            rounds.push((Arc::new(db), tasks));
         }
         let mut cuts_inside_a_tie = 0;
         for (db, tasks) in &rounds {
             for tc in tasks {
-                let full = run(db, tc, usize::MAX);
+                let full = ranked(db, tc, usize::MAX);
                 let sqls: Vec<&str> = full.iter().map(|q| q.sql.as_str()).collect();
-                assert!(run(db, tc, 0).is_empty());
+                assert!(ranked(db, tc, 0).is_empty());
                 for k in [1, 2, 3, 7, 64] {
-                    let capped = run(db, tc, k);
+                    let capped = ranked(db, tc, k);
                     let got: Vec<&str> = capped.iter().map(|q| q.sql.as_str()).collect();
                     assert_eq!(got, sqls[..k.min(sqls.len())], "limit {k}");
                     if k < full.len() {

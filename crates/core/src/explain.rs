@@ -243,8 +243,10 @@ impl QueryGraph {
 mod tests {
     use super::*;
     use crate::config::DiscoveryConfig;
-    use crate::discovery::Discovery;
+    use crate::service::DiscoveryService;
     use prism_datasets::mondial;
+    use prism_db::Database;
+    use std::sync::Arc;
 
     fn some(s: &str) -> Option<String> {
         Some(s.to_string())
@@ -259,9 +261,9 @@ mod tests {
         .unwrap()
     }
 
-    fn desired_candidate(db: &prism_db::Database, tc: &TargetConstraints) -> Candidate {
-        let engine = Discovery::new(db, DiscoveryConfig::default());
-        let result = engine.run(tc);
+    fn desired_candidate(db: &Arc<Database>, tc: &TargetConstraints) -> Candidate {
+        let result = DiscoveryService::new(Arc::clone(db), DiscoveryConfig::default()).run(tc);
+        assert!(!result.degraded, "{:?}", result.fault_reports);
         let want = "SELECT geo_lake.Province, Lake.Name, Lake.Area \
                     FROM Lake, geo_lake WHERE geo_lake.Lake = Lake.Name";
         result
@@ -274,7 +276,7 @@ mod tests {
 
     #[test]
     fn graph_structure_matches_figure_4c() {
-        let db = mondial(42, 1);
+        let db = Arc::new(mondial(42, 1));
         let tc = walkthrough();
         let cand = desired_candidate(&db, &tc);
         let g = explain(&db, &cand, &tc, &all_picks(&tc));
@@ -291,7 +293,7 @@ mod tests {
 
     #[test]
     fn constraints_attach_to_the_satisfying_attribute() {
-        let db = mondial(42, 1);
+        let db = Arc::new(mondial(42, 1));
         let tc = walkthrough();
         let cand = desired_candidate(&db, &tc);
         let g = explain(&db, &cand, &tc, &all_picks(&tc));
@@ -310,7 +312,7 @@ mod tests {
 
     #[test]
     fn dot_output_is_well_formed_and_colored() {
-        let db = mondial(42, 1);
+        let db = Arc::new(mondial(42, 1));
         let tc = walkthrough();
         let cand = desired_candidate(&db, &tc);
         let dot = explain(&db, &cand, &tc, &all_picks(&tc)).to_dot();
@@ -328,7 +330,7 @@ mod tests {
 
     #[test]
     fn ascii_output_mentions_everything() {
-        let db = mondial(42, 1);
+        let db = Arc::new(mondial(42, 1));
         let tc = walkthrough();
         let cand = desired_candidate(&db, &tc);
         let text = explain(&db, &cand, &tc, &all_picks(&tc)).to_ascii();
@@ -346,7 +348,7 @@ mod tests {
 
     #[test]
     fn empty_picks_draw_no_constraint_boxes() {
-        let db = mondial(42, 1);
+        let db = Arc::new(mondial(42, 1));
         let tc = walkthrough();
         let cand = desired_candidate(&db, &tc);
         let g = explain(&db, &cand, &tc, &[]);
@@ -356,7 +358,7 @@ mod tests {
 
     #[test]
     fn out_of_range_picks_are_ignored() {
-        let db = mondial(42, 1);
+        let db = Arc::new(mondial(42, 1));
         let tc = walkthrough();
         let cand = desired_candidate(&db, &tc);
         let g = explain(

@@ -31,10 +31,11 @@
 //! a scoped worker pool over the frozen database. Every width provably
 //! accepts the identical candidate set.
 //!
-//! [`discovery::Discovery`] orchestrates both steps under an interactive
-//! time budget (the demo's 60-second limit), [`explain`] renders the
-//! Figure-4c query graphs, and [`session`] mirrors the demo UI's
-//! Configuration / Description / Result workflow.
+//! [`DiscoveryService`] is the one entry point: it runs both steps under
+//! an interactive time budget (the demo's 60-second limit), directly with
+//! [`DiscoveryService::run`] or through the owned [`SessionHandle`]s of
+//! [`session`], which mirror the demo UI's Configuration / Description /
+//! Result workflow. [`explain`] renders the Figure-4c query graphs.
 
 pub mod candidates;
 pub mod config;
@@ -54,12 +55,12 @@ pub mod validate;
 pub use candidates::Candidate;
 pub use config::{default_faults, default_validation_threads, DiscoveryConfig};
 pub use constraints::TargetConstraints;
-pub use discovery::{DiscoveredQuery, Discovery, DiscoveryResult, DiscoveryStats};
+pub use discovery::{DiscoveredQuery, DiscoveryResult, DiscoveryStats};
 pub use error::Error;
 pub use explain::QueryGraph;
 pub use faults::{FaultKind, FaultNote, FaultReport, FaultSite, FaultSpec, SlotVerdict};
 pub use filters::{Filter, FilterId, FilterSet, PlanCacheStats};
 pub use related::RelatedColumns;
 pub use scheduler::{Engine, FaultedFilter, SchedCtx, Scheduler, SchedulerKind};
-pub use service::{DiscoveryService, SessionHandle, ThreadBudget};
-pub use session::{Session, SessionConfig};
+pub use service::{DiscoveryService, ThreadBudget};
+pub use session::{SessionConfig, SessionHandle};

@@ -1,40 +1,35 @@
-//! The multi-user service layer: one frozen database, N concurrent
-//! sessions.
+//! The discovery service: one frozen database, N concurrent sessions.
 //!
 //! The paper demonstrates an *interactive* mapping-discovery service; this
-//! module is its serving shape. A [`DiscoveryService`] owns an
-//! `Arc<Database>`, the a-priori-trained Bayesian estimator, a
-//! service-global [`SharedPlanCache`], and a [`ThreadBudget`] for
-//! validation workers. It hands out owned [`SessionHandle`]s — no borrowed
-//! lifetimes — so callers can move sessions across threads and run many of
-//! them concurrently against the same database:
+//! module is its serving shape and the library's one entry point. A
+//! [`DiscoveryService`] owns an `Arc<Database>`, the a-priori-trained
+//! Bayesian estimator, a service-global [`SharedPlanCache`], and a
+//! [`ThreadBudget`] for validation workers. It runs rounds directly
+//! ([`DiscoveryService::run`]) and hands out owned [`SessionHandle`]s — no
+//! borrowed lifetimes — so callers can move sessions across threads and
+//! run many of them concurrently against the same database:
 //!
-//! * the database is frozen and `Sync`; every session reads it in place;
+//! * the database is frozen and `Sync`; every round reads it in place;
 //! * the estimator trains once per service (lazily, unless the service
 //!   config already selects the Bayes scheduler) and is shared;
 //! * prepared query plans live in the shared cache keyed by query
-//!   identity, so a session whose query classes were already compiled by
-//!   an earlier session compiles **zero** plans — observable through
+//!   identity, so a round whose query classes an earlier round already
+//!   compiled compiles **zero** plans — observable through
 //!   [`DiscoveryService::plan_cache`] counters;
 //! * each round leases validation workers from the service-wide budget
-//!   instead of assuming it owns the machine.
-//!
-//! [`crate::session::Session`] remains the single-user, borrowed
-//! equivalent; both funnel into the same `run_round` pipeline.
+//!   instead of assuming it owns the machine, and runs inside a panic
+//!   boundary.
 
 use crate::config::DiscoveryConfig;
 use crate::constraints::TargetConstraints;
-use crate::discovery::{run_round, DiscoveryResult, RoundOptions};
-use crate::error::Error;
-use crate::explain::{all_picks, explain, ConstraintPick, QueryGraph};
+use crate::discovery::{run_round, DiscoveryResult};
 use crate::faults::FaultReport;
 use crate::filters::{PlanCacheStats, SharedPlanCache};
 use crate::scheduler::SchedulerKind;
-use crate::session::{ConstraintGrid, SessionConfig};
+use crate::session::{SessionConfig, SessionHandle};
 use crate::validate::panic_message;
 use prism_bayes::{BayesEstimator, TrainConfig};
 use prism_db::Database;
-use prism_lang::UdfRegistry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -100,12 +95,12 @@ impl Drop for ThreadLease<'_> {
     }
 }
 
-/// Everything the service's sessions share.
-struct ServiceCore {
-    db: Arc<Database>,
+/// Everything the service's rounds share.
+pub(crate) struct ServiceCore {
+    pub(crate) db: Arc<Database>,
     config: DiscoveryConfig,
     /// Trained once per service; `OnceLock` so a PathLength-configured
-    /// service pays for training only if some session selects Bayes.
+    /// service pays for training only if some round selects Bayes.
     estimator: OnceLock<BayesEstimator>,
     plans: SharedPlanCache,
     budget: ThreadBudget,
@@ -114,15 +109,60 @@ struct ServiceCore {
 }
 
 impl ServiceCore {
-    fn bayes_estimator(&self) -> &BayesEstimator {
-        self.estimator
-            .get_or_init(|| BayesEstimator::train(&self.db, &TrainConfig::default()))
+    /// One discovery round under `config`, through the shared plan cache.
+    ///
+    /// The round leases `config.validation_threads` workers from the
+    /// service budget for its whole length; the grant is its batch width
+    /// (one validates inline, more run as many pool workers).
+    ///
+    /// Fault isolation: the round runs inside a panic boundary. The
+    /// validation stack already contains per-slot faults (the result
+    /// degrades instead of failing); this last line of defense catches a
+    /// coordinator-level unwind too, so one faulting round can never take
+    /// down its siblings or poison the service — the thread lease returns
+    /// to the budget, shared state (plan cache, estimator) is never
+    /// mutated mid-panic, and the round returns an empty degraded result
+    /// naming the fault.
+    pub(crate) fn round(
+        &self,
+        config: &DiscoveryConfig,
+        constraints: &TargetConstraints,
+    ) -> DiscoveryResult {
+        let estimator = (config.scheduler == SchedulerKind::Bayes).then(|| {
+            self.estimator
+                .get_or_init(|| BayesEstimator::train(&self.db, &TrainConfig::default()))
+        });
+        let lease = self.budget.acquire(config.validation_threads);
+        let threads = lease.threads();
+        let round = catch_unwind(AssertUnwindSafe(|| {
+            run_round(
+                &self.db,
+                config,
+                estimator,
+                constraints,
+                &self.plans,
+                threads,
+            )
+        }));
+        drop(lease);
+        self.rounds_run.fetch_add(1, Ordering::Relaxed);
+        round.unwrap_or_else(|payload| DiscoveryResult {
+            degraded: true,
+            fault_reports: vec![FaultReport {
+                filter_sql: "(round coordinator)".to_string(),
+                reason: panic_message(&*payload),
+                retries: 0,
+                candidates: 0,
+            }],
+            ..DiscoveryResult::default()
+        })
     }
 }
 
-/// The owned entry point of the public API: one service per frozen
-/// database, any number of concurrent [`SessionHandle`]s. Cloning the
-/// service clones a handle to the same shared core.
+/// The entry point of the public API: one service per frozen database,
+/// running rounds directly or through any number of concurrent
+/// [`SessionHandle`]s. Cloning the service clones a handle to the same
+/// shared core.
 #[derive(Clone)]
 pub struct DiscoveryService {
     core: Arc<ServiceCore>,
@@ -132,7 +172,7 @@ impl DiscoveryService {
     /// Stand up a service over `db`. Trains the Bayesian estimator up
     /// front when `config.scheduler` selects it (the paper's "a priori"
     /// preprocessing); otherwise training is deferred until the first
-    /// Bayes session. The thread budget defaults to
+    /// Bayes round. The thread budget defaults to
     /// `config.validation_threads`.
     pub fn new(db: Arc<Database>, config: DiscoveryConfig) -> DiscoveryService {
         let budget = config.validation_threads;
@@ -169,15 +209,7 @@ impl DiscoveryService {
     /// time budget); plans, estimator, and thread budget stay shared.
     pub fn open_session(&self, config: SessionConfig) -> SessionHandle {
         let id = self.core.sessions_opened.fetch_add(1, Ordering::Relaxed);
-        SessionHandle {
-            svc: Arc::clone(&self.core),
-            id,
-            grid: ConstraintGrid::new(&config),
-            config,
-            udfs: UdfRegistry::new(),
-            last_constraints: None,
-            last_result: None,
-        }
+        SessionHandle::new(Arc::clone(&self.core), id, config)
     }
 
     /// Open a session inheriting the service's engine configuration with
@@ -189,6 +221,14 @@ impl DiscoveryService {
         })
     }
 
+    /// Run one discovery round with the service's configuration: the
+    /// programmatic "Start Searching!" without a constraint grid. It
+    /// shares the plan cache, estimator and thread budget with every
+    /// session, and runs inside the same panic boundary.
+    pub fn run(&self, constraints: &TargetConstraints) -> DiscoveryResult {
+        self.core.round(&self.core.config, constraints)
+    }
+
     pub fn database(&self) -> &Database {
         &self.core.db
     }
@@ -198,8 +238,8 @@ impl DiscoveryService {
     }
 
     /// Hit/miss/compile counters of the service-global plan cache. A warm
-    /// session (same query classes as an earlier one) shows up as pure
-    /// hits and `plans_built == 0` in its round stats.
+    /// round (same query classes as an earlier one) shows up as pure hits
+    /// and `plans_built == 0` in its stats.
     pub fn plan_cache(&self) -> PlanCacheStats {
         self.core.plans.stats()
     }
@@ -213,166 +253,16 @@ impl DiscoveryService {
         self.core.sessions_opened.load(Ordering::Relaxed)
     }
 
-    /// Discovery rounds completed across all sessions.
+    /// Discovery rounds completed, by sessions and by [`DiscoveryService::run`].
     pub fn rounds_run(&self) -> u64 {
         self.core.rounds_run.load(Ordering::Relaxed)
-    }
-}
-
-/// One owned interactive session: the same Configuration → Description →
-/// Result workflow as [`crate::session::Session`], minus the lifetime —
-/// a handle is `Send` and can run on any thread while its siblings run on
-/// others.
-pub struct SessionHandle {
-    svc: Arc<ServiceCore>,
-    id: u64,
-    config: SessionConfig,
-    grid: ConstraintGrid,
-    udfs: UdfRegistry,
-    last_constraints: Option<TargetConstraints>,
-    last_result: Option<DiscoveryResult>,
-}
-
-// A handle must be movable into worker threads (the whole point of the
-// owned redesign); everything it shares is behind `Arc` + `Sync` types.
-const fn _assert_send<T: Send>() {}
-const _: () = _assert_send::<SessionHandle>();
-
-impl SessionHandle {
-    /// Service-unique session id (allocation order).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    pub fn config(&self) -> &SessionConfig {
-        &self.config
-    }
-
-    pub fn database_name(&self) -> &str {
-        self.svc.db.name()
-    }
-
-    /// Register user-defined functions available to `@name` predicates.
-    pub fn set_udfs(&mut self, udfs: UdfRegistry) {
-        self.udfs = udfs;
-    }
-
-    /// Step 2: type into a cell of the Sample/Result Constraints grid.
-    pub fn set_sample_cell(
-        &mut self,
-        row: usize,
-        column: usize,
-        text: impl Into<String>,
-    ) -> Result<(), Error> {
-        self.grid.set_sample_cell(row, column, text.into())
-    }
-
-    /// Step 2 (metadata row): type into a Metadata Constraints cell.
-    pub fn set_metadata_cell(
-        &mut self,
-        column: usize,
-        text: impl Into<String>,
-    ) -> Result<(), Error> {
-        self.grid.set_metadata_cell(column, text.into())
-    }
-
-    /// Step 3: "Start Searching!". Parses the grid, leases validation
-    /// workers from the service budget, runs a round through the shared
-    /// plan cache, and stores the Result section.
-    ///
-    /// The lease spans the whole round, and the granted thread count is
-    /// the round's batch width: one grant validates inline, more run as
-    /// many pool workers.
-    ///
-    /// Fault isolation: the round runs inside a panic boundary. The
-    /// validation stack already contains per-slot faults ([`DiscoveryResult`]
-    /// degrades instead of failing); this last line of defense catches a
-    /// coordinator-level unwind too, so one faulting session can never
-    /// take down its siblings or poison the service — the thread lease
-    /// returns to the budget, shared state (plan cache, estimator) is
-    /// never mutated mid-panic, and the session stores an empty degraded
-    /// result naming the fault.
-    pub fn start_searching(&mut self) -> Result<&DiscoveryResult, Error> {
-        let constraints = self.grid.parse(&self.udfs)?;
-        let config = &self.config.discovery;
-        let estimator = match config.scheduler {
-            SchedulerKind::Bayes => Some(self.svc.bayes_estimator()),
-            _ => self.svc.estimator.get(),
-        };
-        let lease = self.svc.budget.acquire(config.validation_threads);
-        let threads = lease.threads();
-        let round = catch_unwind(AssertUnwindSafe(|| {
-            run_round(
-                &self.svc.db,
-                config,
-                estimator,
-                &constraints,
-                RoundOptions {
-                    want_oracle: false,
-                    shared_plans: Some(&self.svc.plans),
-                    threads,
-                },
-            )
-        }));
-        drop(lease);
-        let result = round.unwrap_or_else(|payload| DiscoveryResult {
-            degraded: true,
-            fault_reports: vec![FaultReport {
-                filter_sql: "(round coordinator)".to_string(),
-                reason: panic_message(&*payload),
-                retries: 0,
-                candidates: 0,
-            }],
-            ..DiscoveryResult::default()
-        });
-        self.svc.rounds_run.fetch_add(1, Ordering::Relaxed);
-        self.last_constraints = Some(constraints);
-        self.last_result = Some(result);
-        Ok(self.last_result.as_ref().expect("just stored"))
-    }
-
-    /// The Result section of the last search.
-    pub fn result(&self) -> Option<&DiscoveryResult> {
-        self.last_result.as_ref()
-    }
-
-    /// Step 4.1: the SQL text of one discovered query (Figure 4b).
-    pub fn result_sql(&self, index: usize) -> Result<&str, Error> {
-        let r = self.last_result.as_ref().ok_or(Error::NoSearchRun)?;
-        r.queries
-            .get(index)
-            .map(|q| q.sql.as_str())
-            .ok_or(Error::NoSuchResult(index))
-    }
-
-    /// Steps 4.2–4.3: the query graph of one discovered query with the
-    /// chosen constraints drawn in (Figure 4c). `picks = None` draws all.
-    pub fn explain_result(
-        &self,
-        index: usize,
-        picks: Option<&[ConstraintPick]>,
-    ) -> Result<QueryGraph, Error> {
-        let r = self.last_result.as_ref().ok_or(Error::NoSearchRun)?;
-        let q = r.queries.get(index).ok_or(Error::NoSuchResult(index))?;
-        let constraints = self
-            .last_constraints
-            .as_ref()
-            .expect("constraints stored with result");
-        let owned_all;
-        let picks = match picks {
-            Some(p) => p,
-            None => {
-                owned_all = all_picks(constraints);
-                &owned_all
-            }
-        };
-        Ok(explain(&self.svc.db, &q.candidate, constraints, picks))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explain::ConstraintPick;
     use prism_datasets::mondial;
 
     fn walkthrough_service() -> DiscoveryService {
@@ -389,14 +279,20 @@ mod tests {
             .unwrap();
     }
 
+    /// The Section 3 walk-through as a session script.
     #[test]
     fn owned_sessions_run_the_walkthrough() {
+        // Step 1: configure — Mondial, 3 columns, 1 sample, metadata on.
         let svc = walkthrough_service();
         let mut session = svc.open_default_session();
         assert_eq!(session.database_name(), "Mondial");
+        // Step 2: describe.
         describe(&mut session);
+        // Step 3: search.
         let result = session.start_searching().unwrap();
+        assert!(!result.degraded, "{:?}", result.fault_reports);
         assert!(!result.queries.is_empty());
+        // Step 4: view the queries and explain the desired one.
         let want = "SELECT geo_lake.Province, Lake.Name, Lake.Area \
                     FROM Lake, geo_lake WHERE geo_lake.Lake = Lake.Name";
         let n = result.queries.len();
@@ -405,6 +301,19 @@ mod tests {
             .expect("desired query listed");
         let graph = session.explain_result(idx, None).unwrap();
         assert_eq!(graph.relations.len(), 2);
+        assert_eq!(graph.constraints.len(), 3);
+        // Step 4.3: picking a single constraint draws only it.
+        let one = session
+            .explain_result(
+                idx,
+                Some(&[ConstraintPick::Value {
+                    sample: 0,
+                    column: 1,
+                }]),
+            )
+            .unwrap();
+        assert_eq!(one.constraints.len(), 1);
+        assert!(one.constraints[0].label.contains("Lake Tahoe"));
         assert_eq!(svc.rounds_run(), 1);
         assert_eq!(svc.sessions_opened(), 1);
     }
@@ -428,16 +337,40 @@ mod tests {
         let after_warm = svc.plan_cache();
         assert_eq!(after_warm.misses, after_cold.misses, "no new classes");
         assert!(after_warm.hits > after_cold.hits, "classes re-registered");
-        // Same accepted queries either way.
+
+        // A third round outside any session shares the same cache.
+        let walkthrough = TargetConstraints::parse(
+            3,
+            &[vec![
+                Some("California || Nevada".to_string()),
+                Some("Lake Tahoe".to_string()),
+                None,
+            ]],
+            &[
+                None,
+                None,
+                Some("DataType=='decimal' AND MinValue>='0'".to_string()),
+            ],
+        )
+        .unwrap();
+        let direct = svc.run(&walkthrough);
+        assert_eq!(
+            direct.stats.exec.plans_built, 0,
+            "direct round compiles nothing"
+        );
+        assert_eq!(svc.plan_cache().misses, after_cold.misses);
+        assert_eq!(svc.rounds_run(), 3);
+
+        // Same accepted queries every way.
         let keys = |r: &DiscoveryResult| {
+            assert!(!r.degraded, "{:?}", r.fault_reports);
             let mut k: Vec<String> = r.queries.iter().map(|q| q.key.clone()).collect();
             k.sort();
             k
         };
-        assert_eq!(
-            keys(first.result().unwrap()),
-            keys(second.result().unwrap())
-        );
+        let cold_keys = keys(first.result().unwrap());
+        assert_eq!(cold_keys, keys(second.result().unwrap()));
+        assert_eq!(cold_keys, keys(&direct));
     }
 
     #[test]

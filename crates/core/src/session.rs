@@ -1,19 +1,21 @@
 //! The demo workflow: Configuration → Description → Result (Figures 2–4).
 //!
-//! [`Session`] is the programmatic mirror of the web UI's three sections.
-//! The `examples/interactive_demo.rs` binary drives it as a scripted CLI,
-//! reproducing the demonstration walk-through of Section 3 step by step:
-//! configure the source database and grid shape, type constraints into the
-//! Description grid, hit "Start Searching!", then inspect SQL, pick
-//! constraints, and render the explanation graph.
+//! [`SessionHandle`] is the programmatic mirror of the web UI's three
+//! sections; [`crate::service::DiscoveryService::open_session`] hands it
+//! out. The `examples/interactive_demo.rs` binary drives it as a scripted
+//! CLI, reproducing the demonstration walk-through of Section 3 step by
+//! step: configure the source database and grid shape, type constraints
+//! into the Description grid, hit "Start Searching!", then inspect SQL,
+//! pick constraints, and render the explanation graph.
 
 use crate::config::DiscoveryConfig;
 use crate::constraints::TargetConstraints;
-use crate::discovery::{Discovery, DiscoveryResult};
+use crate::discovery::{DiscoveredQuery, DiscoveryResult};
 use crate::error::Error;
 use crate::explain::{all_picks, explain, ConstraintPick, QueryGraph};
-use prism_db::Database;
+use crate::service::ServiceCore;
 use prism_lang::UdfRegistry;
+use std::sync::Arc;
 
 /// The Configuration section (Figure 2 / Section 3 step 1).
 #[derive(Debug, Clone)]
@@ -39,108 +41,46 @@ impl Default for SessionConfig {
     }
 }
 
-/// The Description grid of one session, as raw text: sample cells plus the
-/// optional metadata row, with the parse step that turns them into
-/// [`TargetConstraints`]. Shared verbatim by the borrowed [`Session`] and
-/// the owned [`crate::service::SessionHandle`] so both enforce identical
-/// bounds and produce identical errors.
-pub(crate) struct ConstraintGrid {
-    target_columns: usize,
-    sample_rows: usize,
-    with_metadata: bool,
-    grid: Vec<Vec<Option<String>>>,
-    metadata: Vec<Option<String>>,
-}
-
-impl ConstraintGrid {
-    pub(crate) fn new(config: &SessionConfig) -> ConstraintGrid {
-        ConstraintGrid {
-            target_columns: config.target_columns,
-            sample_rows: config.sample_rows,
-            with_metadata: config.with_metadata,
-            grid: vec![vec![None; config.target_columns]; config.sample_rows],
-            metadata: vec![None; config.target_columns],
-        }
-    }
-
-    pub(crate) fn set_sample_cell(
-        &mut self,
-        row: usize,
-        column: usize,
-        text: String,
-    ) -> Result<(), Error> {
-        if row >= self.sample_rows || column >= self.target_columns {
-            return Err(Error::OutOfRange { row, column });
-        }
-        self.grid[row][column] = if text.trim().is_empty() {
-            None
-        } else {
-            Some(text)
-        };
-        Ok(())
-    }
-
-    pub(crate) fn set_metadata_cell(&mut self, column: usize, text: String) -> Result<(), Error> {
-        if !self.with_metadata {
-            return Err(Error::MetadataDisabled);
-        }
-        if column >= self.target_columns {
-            return Err(Error::OutOfRange { row: 0, column });
-        }
-        self.metadata[column] = if text.trim().is_empty() {
-            None
-        } else {
-            Some(text)
-        };
-        Ok(())
-    }
-
-    /// Parse the grid into constraints, resolving `@name` predicates
-    /// against `udfs`.
-    pub(crate) fn parse(&self, udfs: &UdfRegistry) -> Result<TargetConstraints, Error> {
-        let constraints =
-            TargetConstraints::parse(self.target_columns, &self.grid, &self.metadata)?
-                .with_udfs(udfs.clone());
-        let missing = constraints.missing_udfs();
-        if !missing.is_empty() {
-            return Err(Error::UnknownUdfs(missing));
-        }
-        Ok(constraints)
-    }
-}
-
-/// One interactive schema-mapping session against a source database.
-///
-/// `Session` borrows its database; [`crate::service::DiscoveryService`]
-/// hands out the owned, `Send` equivalent ([`crate::service::SessionHandle`])
-/// for concurrent multi-session serving.
-pub struct Session<'a> {
-    engine: Discovery<'a>,
+/// One interactive schema-mapping session: the Configuration →
+/// Description → Result workflow over a
+/// [`crate::service::DiscoveryService`]. A handle owns its grid and its
+/// last result and shares everything else with its service, so it is
+/// `Send` and runs on any thread while its siblings run on others.
+pub struct SessionHandle {
+    svc: Arc<ServiceCore>,
+    id: u64,
     config: SessionConfig,
-    grid: ConstraintGrid,
     udfs: UdfRegistry,
-    /// Parsed constraints of the last search.
-    last_constraints: Option<TargetConstraints>,
-    /// The Result section of the last search.
-    last_result: Option<DiscoveryResult>,
+    /// The Description grid as typed: `sample_rows × target_columns`
+    /// sample cells and one metadata cell per target column.
+    samples: Vec<Vec<Option<String>>>,
+    metadata: Vec<Option<String>>,
+    /// The last search: its parsed constraints and its Result section.
+    last: Option<(TargetConstraints, DiscoveryResult)>,
 }
 
-impl<'a> Session<'a> {
-    /// Step 1: choose the source database and configure the grid.
-    pub fn new(db: &'a Database, config: SessionConfig) -> Session<'a> {
-        Session {
-            engine: Discovery::new(db, config.discovery.clone()),
-            grid: ConstraintGrid::new(&config),
-            config,
+// A handle must be movable into worker threads (the whole point of the
+// owned design); everything it shares is behind `Arc` + `Sync` types.
+const fn _assert_send<T: Send>() {}
+const _: () = _assert_send::<SessionHandle>();
+
+impl SessionHandle {
+    /// Step 1: a session over `svc` with the grid `config` shapes.
+    pub(crate) fn new(svc: Arc<ServiceCore>, id: u64, config: SessionConfig) -> SessionHandle {
+        SessionHandle {
+            svc,
+            id,
             udfs: UdfRegistry::new(),
-            last_constraints: None,
-            last_result: None,
+            samples: vec![vec![None; config.target_columns]; config.sample_rows],
+            metadata: vec![None; config.target_columns],
+            config,
+            last: None,
         }
     }
 
-    /// Register user-defined functions available to `@name` predicates.
-    pub fn set_udfs(&mut self, udfs: UdfRegistry) {
-        self.udfs = udfs;
+    /// Service-unique session id (allocation order).
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     pub fn config(&self) -> &SessionConfig {
@@ -148,17 +88,29 @@ impl<'a> Session<'a> {
     }
 
     pub fn database_name(&self) -> &str {
-        self.engine.database().name()
+        self.svc.db.name()
+    }
+
+    /// Register user-defined functions available to `@name` predicates.
+    pub fn set_udfs(&mut self, udfs: UdfRegistry) {
+        self.udfs = udfs;
     }
 
     /// Step 2: type into a cell of the Sample/Result Constraints grid.
+    /// Blank text clears the cell.
     pub fn set_sample_cell(
         &mut self,
         row: usize,
         column: usize,
         text: impl Into<String>,
     ) -> Result<(), Error> {
-        self.grid.set_sample_cell(row, column, text.into())
+        let cell = self
+            .samples
+            .get_mut(row)
+            .and_then(|r| r.get_mut(column))
+            .ok_or(Error::OutOfRange { row, column })?;
+        *cell = non_blank(text.into());
+        Ok(())
     }
 
     /// Step 2 (metadata row): type into a Metadata Constraints cell.
@@ -167,46 +119,50 @@ impl<'a> Session<'a> {
         column: usize,
         text: impl Into<String>,
     ) -> Result<(), Error> {
-        self.grid.set_metadata_cell(column, text.into())
+        if !self.config.with_metadata {
+            return Err(Error::MetadataDisabled);
+        }
+        let cell = self
+            .metadata
+            .get_mut(column)
+            .ok_or(Error::OutOfRange { row: 0, column })?;
+        *cell = non_blank(text.into());
+        Ok(())
     }
 
-    /// Step 3: hit "Start Searching!". Parses the grid, runs discovery, and
-    /// stores the Result section.
+    /// Step 3: "Start Searching!". Parses the grid, resolving `@name`
+    /// predicates against the session's UDFs, runs one round on the
+    /// service under the session's engine configuration, and stores the
+    /// Result section.
     ///
     /// A faulting filter (a panicking UDF, an injected fault under
     /// `PRISM_FAULT`) does not abort the search: its candidates are
     /// abandoned, the Result section comes back with
     /// [`DiscoveryResult::degraded`] set and a fault report per affected
-    /// filter, and every query listed is still fully validated. Use
-    /// [`Session::degradation_notice`] for the user-facing banner.
+    /// filter, and every query listed is still fully validated
+    /// ([`DiscoveryResult::degradation_notice`] renders the banner). A
+    /// panic in the round coordinator itself degrades this session alone.
     pub fn start_searching(&mut self) -> Result<&DiscoveryResult, Error> {
-        let constraints = self.grid.parse(&self.udfs)?;
-        let result = self.engine.run(&constraints);
-        self.last_constraints = Some(constraints);
-        self.last_result = Some(result);
-        Ok(self.last_result.as_ref().expect("just stored"))
+        let constraints =
+            TargetConstraints::parse(self.config.target_columns, &self.samples, &self.metadata)?
+                .with_udfs(self.udfs.clone());
+        let missing = constraints.missing_udfs();
+        if !missing.is_empty() {
+            return Err(Error::UnknownUdfs(missing));
+        }
+        let result = self.svc.round(&self.config.discovery, &constraints);
+        let (_, result) = self.last.insert((constraints, result));
+        Ok(result)
     }
 
     /// The Result section of the last search.
     pub fn result(&self) -> Option<&DiscoveryResult> {
-        self.last_result.as_ref()
-    }
-
-    /// The Result section's degradation banner: `None` when the last
-    /// search completed cleanly, `Some(text)` when faults or the watchdog
-    /// reduced it to a sound subset (see
-    /// [`DiscoveryResult::degradation_notice`]).
-    pub fn degradation_notice(&self) -> Option<String> {
-        self.last_result.as_ref()?.degradation_notice()
+        self.last.as_ref().map(|(_, result)| result)
     }
 
     /// Step 4.1: the SQL text of one discovered query (Figure 4b).
     pub fn result_sql(&self, index: usize) -> Result<&str, Error> {
-        let r = self.last_result.as_ref().ok_or(Error::NoSearchRun)?;
-        r.queries
-            .get(index)
-            .map(|q| q.sql.as_str())
-            .ok_or(Error::NoSuchResult(index))
+        Ok(&self.last_query(index)?.1.sql)
     }
 
     /// Steps 4.2–4.3: the query graph of one discovered query with the
@@ -216,12 +172,7 @@ impl<'a> Session<'a> {
         index: usize,
         picks: Option<&[ConstraintPick]>,
     ) -> Result<QueryGraph, Error> {
-        let r = self.last_result.as_ref().ok_or(Error::NoSearchRun)?;
-        let q = r.queries.get(index).ok_or(Error::NoSuchResult(index))?;
-        let constraints = self
-            .last_constraints
-            .as_ref()
-            .expect("constraints stored with result");
+        let (constraints, q) = self.last_query(index)?;
         let owned_all;
         let picks = match picks {
             Some(p) => p,
@@ -230,70 +181,50 @@ impl<'a> Session<'a> {
                 &owned_all
             }
         };
-        Ok(explain(
-            self.engine.database(),
-            &q.candidate,
-            constraints,
-            picks,
-        ))
+        Ok(explain(&self.svc.db, &q.candidate, constraints, picks))
     }
+
+    /// Query `index` of the last search, with that search's constraints.
+    fn last_query(&self, index: usize) -> Result<(&TargetConstraints, &DiscoveredQuery), Error> {
+        let (constraints, result) = self.last.as_ref().ok_or(Error::NoSearchRun)?;
+        let q = result
+            .queries
+            .get(index)
+            .ok_or(Error::NoSuchResult(index))?;
+        Ok((constraints, q))
+    }
+}
+
+/// A typed cell's text, or `None` when it is blank.
+fn non_blank(text: String) -> Option<String> {
+    (!text.trim().is_empty()).then_some(text)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::constraints::ConstraintError;
+    use crate::scheduler::SchedulerKind;
+    use crate::service::DiscoveryService;
     use prism_datasets::mondial;
 
-    /// The full Section 3 walk-through as a session script.
-    #[test]
-    fn section_3_walkthrough() {
-        let db = mondial(42, 1);
-        // Step 1: configure — Mondial, 3 columns, 1 sample, metadata on.
-        let mut session = Session::new(&db, SessionConfig::default());
-        assert_eq!(session.database_name(), "Mondial");
-        // Step 2: describe.
-        session
-            .set_sample_cell(0, 0, "California || Nevada")
-            .unwrap();
-        session.set_sample_cell(0, 1, "Lake Tahoe").unwrap();
-        session
-            .set_metadata_cell(2, "DataType=='decimal' AND MinValue>='0'")
-            .unwrap();
-        // Step 3: search.
-        let result = session.start_searching().unwrap();
-        assert!(!result.queries.is_empty());
-        // Step 4: view the first queries and explain them.
-        let n = result.queries.len();
-        let want = "SELECT geo_lake.Province, Lake.Name, Lake.Area \
-                    FROM Lake, geo_lake WHERE geo_lake.Lake = Lake.Name";
-        let idx = (0..n)
-            .find(|&i| session.result_sql(i).unwrap() == want)
-            .expect("desired query listed");
-        let graph = session.explain_result(idx, None).unwrap();
-        assert_eq!(graph.relations.len(), 2);
-        assert_eq!(graph.constraints.len(), 3);
-        // Step 4.3: picking a single constraint draws only it.
-        let one = session
-            .explain_result(
-                idx,
-                Some(&[ConstraintPick::Value {
-                    sample: 0,
-                    column: 1,
-                }]),
-            )
-            .unwrap();
-        assert_eq!(one.constraints.len(), 1);
-        assert!(one.constraints[0].label.contains("Lake Tahoe"));
+    /// A session on Mondial. The grid tests never search, so the service
+    /// skips training the Bayesian estimator.
+    fn session(config: SessionConfig) -> SessionHandle {
+        let engine = DiscoveryConfig::with_scheduler(SchedulerKind::PathLength);
+        DiscoveryService::new(Arc::new(mondial(42, 1)), engine).open_session(config)
     }
 
     #[test]
     fn grid_bounds_are_enforced() {
-        let db = mondial(42, 1);
-        let mut session = Session::new(&db, SessionConfig::default());
+        let mut session = session(SessionConfig::default());
         assert!(matches!(
             session.set_sample_cell(5, 0, "x"),
             Err(Error::OutOfRange { .. })
+        ));
+        assert!(matches!(
+            session.set_sample_cell(0, 3, "x"),
+            Err(Error::OutOfRange { row: 0, column: 3 })
         ));
         assert!(matches!(
             session.set_metadata_cell(7, "DataType=='int'"),
@@ -303,14 +234,10 @@ mod tests {
 
     #[test]
     fn metadata_can_be_disabled() {
-        let db = mondial(42, 1);
-        let mut session = Session::new(
-            &db,
-            SessionConfig {
-                with_metadata: false,
-                ..SessionConfig::default()
-            },
-        );
+        let mut session = session(SessionConfig {
+            with_metadata: false,
+            ..SessionConfig::default()
+        });
         assert!(matches!(
             session.set_metadata_cell(0, "DataType=='int'"),
             Err(Error::MetadataDisabled)
@@ -319,20 +246,22 @@ mod tests {
 
     #[test]
     fn searching_without_constraints_fails_cleanly() {
-        let db = mondial(42, 1);
-        let mut session = Session::new(&db, SessionConfig::default());
+        let mut session = session(SessionConfig::default());
         assert!(matches!(
             session.start_searching(),
             Err(Error::Constraint(_))
         ));
         assert!(session.result().is_none());
-        assert!(session.result_sql(0).is_err());
+        assert!(matches!(session.result_sql(0), Err(Error::NoSearchRun)));
+        assert!(matches!(
+            session.explain_result(0, None),
+            Err(Error::NoSearchRun)
+        ));
     }
 
     #[test]
     fn clearing_a_cell_removes_the_constraint() {
-        let db = mondial(42, 1);
-        let mut session = Session::new(&db, SessionConfig::default());
+        let mut session = session(SessionConfig::default());
         session.set_sample_cell(0, 0, "Lake Tahoe").unwrap();
         session.set_sample_cell(0, 0, "   ").unwrap();
         assert!(matches!(
@@ -343,8 +272,7 @@ mod tests {
 
     #[test]
     fn bad_constraint_text_reports_cell() {
-        let db = mondial(42, 1);
-        let mut session = Session::new(&db, SessionConfig::default());
+        let mut session = session(SessionConfig::default());
         session.set_sample_cell(0, 1, "a ||").unwrap();
         match session.start_searching() {
             Err(Error::Constraint(ConstraintError::Parse { row, column, .. })) => {

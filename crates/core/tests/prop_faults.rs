@@ -27,8 +27,8 @@
 //! fires, asserting soundness throughout (and is a no-op when unset).
 
 use prism_core::{
-    default_faults, DiscoveryConfig, DiscoveryResult, DiscoveryService, FaultSpec, Session,
-    SessionConfig,
+    default_faults, DiscoveryConfig, DiscoveryResult, DiscoveryService, FaultSpec, SessionConfig,
+    SessionHandle,
 };
 use prism_datasets::{mondial, MappingTask, Resolution, TaskGenConfig, TaskGenerator};
 use prism_db::Database;
@@ -58,7 +58,7 @@ fn config(threads: usize, faults: Option<FaultSpec>) -> DiscoveryConfig {
     }
 }
 
-fn walkthrough_grid(session: &mut Session<'_>) {
+fn walkthrough_grid(session: &mut SessionHandle) {
     session
         .set_sample_cell(0, 0, "California || Nevada")
         .unwrap();
@@ -68,16 +68,32 @@ fn walkthrough_grid(session: &mut Session<'_>) {
         .unwrap();
 }
 
+/// One session on a fresh service, so every run starts from empty caches.
+fn open_session(config: SessionConfig) -> SessionHandle {
+    DiscoveryService::new(Arc::clone(fixture()), config.discovery.clone()).open_session(config)
+}
+
 fn run_walkthrough(config: DiscoveryConfig) -> DiscoveryResult {
-    let mut session = Session::new(
-        fixture().as_ref(),
-        SessionConfig {
-            discovery: config,
-            ..SessionConfig::default()
-        },
-    );
+    let mut session = open_session(SessionConfig {
+        discovery: config,
+        ..SessionConfig::default()
+    });
     walkthrough_grid(&mut session);
     session.start_searching().unwrap().clone()
+}
+
+/// Injected chaos fires in validation slots, never in the round
+/// coordinator: the service reports a coordinator panic as an empty
+/// degraded round, which would pass every subset check.
+fn assert_no_coordinator_fault(result: &DiscoveryResult) {
+    assert!(
+        result
+            .fault_reports
+            .iter()
+            .all(|r| r.filter_sql != "(round coordinator)"),
+        "the round coordinator panicked: {:?}",
+        result.fault_reports
+    );
 }
 
 fn keys(result: &DiscoveryResult) -> Vec<String> {
@@ -91,6 +107,7 @@ fn baseline() -> &'static Vec<String> {
     static BASE: OnceLock<Vec<String>> = OnceLock::new();
     BASE.get_or_init(|| {
         let result = run_walkthrough(config(1, None));
+        assert!(!result.degraded, "{:?}", result.fault_reports);
         assert!(!result.queries.is_empty(), "walkthrough finds queries");
         keys(&result)
     })
@@ -161,6 +178,7 @@ fn partial_panic_chaos_is_sound_and_reproducible() {
     for threads in [1usize, 2, 4] {
         let run = || run_walkthrough(config(threads, Some(spec.clone())));
         let result = run();
+        assert_no_coordinator_fault(&result);
         assert!(
             is_subset(&keys(&result), baseline()),
             "chaos run accepted a query the clean run does not ({threads} threads)"
@@ -241,7 +259,7 @@ fn chaotic_session_cannot_poison_siblings() {
                     discovery: c.clone(),
                     ..SessionConfig::default()
                 });
-                walkthrough_grid_handle(&mut session);
+                walkthrough_grid(&mut session);
                 scope.spawn(move || {
                     session.start_searching().unwrap();
                     session.result().expect("round ran").clone()
@@ -253,6 +271,7 @@ fn chaotic_session_cannot_poison_siblings() {
     assert_eq!(svc.rounds_run(), 3);
     // The chaotic session degrades in isolation…
     assert!(results[0].degraded);
+    assert_no_coordinator_fault(&results[0]);
     assert!(results[0].queries.is_empty());
     assert!(!results[0].fault_reports.is_empty());
     // …while its siblings are oracle-identical and clean.
@@ -266,16 +285,6 @@ fn chaotic_session_cannot_poison_siblings() {
         assert!(!sibling.degraded);
         assert_eq!(sibling.stats.faults_injected, 0);
     }
-}
-
-fn walkthrough_grid_handle(session: &mut prism_core::SessionHandle) {
-    session
-        .set_sample_cell(0, 0, "California || Nevada")
-        .unwrap();
-    session.set_sample_cell(0, 1, "Lake Tahoe").unwrap();
-    session
-        .set_metadata_cell(2, "DataType=='decimal' AND MinValue>='0'")
-        .unwrap();
 }
 
 #[test]
@@ -321,8 +330,7 @@ fn env_chaos_smoke_injects_and_stays_sound() {
     if default_faults().is_none() {
         return;
     }
-    let db = fixture();
-    let taskgen = TaskGenerator::new(db.as_ref(), TaskGenConfig::default());
+    let taskgen = TaskGenerator::new(fixture(), TaskGenConfig::default());
     let mut injected_total = 0u64;
     'outer: for seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -333,8 +341,10 @@ fn env_chaos_smoke_injects_and_stays_sound() {
             Resolution::Metadata,
         ] {
             for task in taskgen.generate_many(resolution, 1, &mut rng) {
-                let chaotic = run_task(db.as_ref(), &task, DiscoveryConfig::default());
-                let clean = run_task(db.as_ref(), &task, config(4, None));
+                let chaotic = run_task(&task, DiscoveryConfig::default());
+                let clean = run_task(&task, config(4, None));
+                assert!(!clean.degraded, "{:?}", clean.fault_reports);
+                assert_no_coordinator_fault(&chaotic);
                 assert!(
                     is_subset(&keys(&chaotic), &keys(&clean)),
                     "env chaos accepted a query the clean run does not ({resolution:?}/{seed})"
@@ -353,16 +363,13 @@ fn env_chaos_smoke_injects_and_stays_sound() {
     );
 }
 
-fn run_task(db: &Database, task: &MappingTask, config: DiscoveryConfig) -> DiscoveryResult {
-    let mut session = Session::new(
-        db,
-        SessionConfig {
-            target_columns: task.column_count,
-            sample_rows: task.samples.len(),
-            with_metadata: true,
-            discovery: config,
-        },
-    );
+fn run_task(task: &MappingTask, config: DiscoveryConfig) -> DiscoveryResult {
+    let mut session = open_session(SessionConfig {
+        target_columns: task.column_count,
+        sample_rows: task.samples.len(),
+        with_metadata: true,
+        discovery: config,
+    });
     for (r, row) in task.samples.iter().enumerate() {
         for (c, cell) in row.iter().enumerate() {
             if let Some(text) = cell {

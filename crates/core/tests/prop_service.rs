@@ -59,14 +59,12 @@ fn task_session(svc: &DiscoveryService, task: &MappingTask, threads: usize) -> S
 }
 
 /// Sorted result keys of the last round — the accept set, order-blind.
+/// The rounds here are fault-free, so a degraded one (an empty result
+/// from a contained coordinator panic) fails rather than compares.
 fn accept_set(session: &SessionHandle) -> Vec<String> {
-    let mut keys: Vec<String> = session
-        .result()
-        .expect("round ran")
-        .queries
-        .iter()
-        .map(|q| q.key.clone())
-        .collect();
+    let result = session.result().expect("round ran");
+    assert!(!result.degraded, "{:?}", result.fault_reports);
+    let mut keys: Vec<String> = result.queries.iter().map(|q| q.key.clone()).collect();
     keys.sort();
     keys
 }

@@ -591,8 +591,13 @@ mod tests {
         assert_eq!(report.tables.len(), db.catalog().table_count());
         assert!(!report.indexes.is_empty());
         assert_eq!(
-            report.total_index_bytes(),
+            report.join_index_bytes(),
             report.indexes.iter().map(|i| i.bytes).sum::<usize>()
+        );
+        assert!(report.keyword_index_bytes > 0);
+        assert_eq!(
+            report.total_index_bytes(),
+            report.join_index_bytes() + report.keyword_index_bytes
         );
     }
 

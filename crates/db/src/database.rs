@@ -429,9 +429,9 @@ impl Database {
     }
 
     /// Audit the frozen database's memory: per-table column bytes (data
-    /// vectors + null bitmaps + zone maps) and per-join-index bytes. CSR
-    /// made the index side exact — three flat arrays plus the probe header,
-    /// no per-key allocations to estimate.
+    /// vectors + null bitmaps + zone maps), per-join-index bytes, and the
+    /// keyword index. CSR made the join indexes exact — three flat arrays
+    /// plus the probe header, no per-key allocations to estimate.
     pub fn memory_report(&self) -> MemoryReport {
         let tables = self
             .catalog
@@ -467,6 +467,7 @@ impl Database {
             block_rows: self.block_rows,
             tables,
             indexes,
+            keyword_index_bytes: self.index.heap_bytes(),
             interner_bytes: self.symbols.heap_bytes(),
             stats_bytes: self.stats.heap_bytes(),
             ingest: self.ingest.clone(),
@@ -540,6 +541,8 @@ pub struct MemoryReport {
     pub block_rows: usize,
     pub tables: Vec<TableMemory>,
     pub indexes: Vec<JoinIndexMemory>,
+    /// Approximate inverted keyword index bytes (cell keys and postings).
+    pub keyword_index_bytes: usize,
     /// Approximate dictionary (interner) bytes, shared by every table.
     pub interner_bytes: usize,
     /// Approximate per-column statistics bytes.
@@ -561,8 +564,13 @@ impl MemoryReport {
     }
 
     /// Join-index bytes summed over all indexed columns.
-    pub fn total_index_bytes(&self) -> usize {
+    pub fn join_index_bytes(&self) -> usize {
         self.indexes.iter().map(|i| i.bytes).sum()
+    }
+
+    /// Every index's bytes: the join indexes plus the keyword index.
+    pub fn total_index_bytes(&self) -> usize {
+        self.join_index_bytes() + self.keyword_index_bytes
     }
 }
 
@@ -586,7 +594,7 @@ impl std::fmt::Display for MemoryReport {
         writeln!(
             f,
             "join indexes: {} B across {} columns (CSR)",
-            self.total_index_bytes(),
+            self.join_index_bytes(),
             self.indexes.len(),
         )?;
         for i in &self.indexes {
@@ -599,6 +607,7 @@ impl std::fmt::Display for MemoryReport {
                 i.indexed_rows,
             )?;
         }
+        writeln!(f, "keyword index: ~{} B", self.keyword_index_bytes)?;
         if self.ingest.csv_rows > 0 || self.ingest.batch_rows > 0 {
             writeln!(
                 f,
@@ -871,6 +880,24 @@ pub(crate) mod tests {
         let rendered = report.to_string();
         assert!(rendered.contains("join indexes"));
         assert!(rendered.contains("geo_lake.Lake"));
+    }
+
+    #[test]
+    fn memory_report_counts_the_keyword_index() {
+        let db = lakes_db();
+        let report = db.memory_report();
+        // Every non-NULL cell is indexed, and the lakes are text.
+        assert!(report.keyword_index_bytes > 0);
+        assert_eq!(report.keyword_index_bytes, db.index().heap_bytes());
+        assert_eq!(
+            report.total_index_bytes(),
+            report.join_index_bytes() + report.keyword_index_bytes
+        );
+        assert_eq!(
+            report.join_index_bytes(),
+            report.indexes.iter().map(|i| i.bytes).sum::<usize>()
+        );
+        assert!(report.to_string().contains("keyword index"));
     }
 
     #[test]

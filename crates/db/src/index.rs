@@ -243,6 +243,19 @@ impl InvertedIndex {
     pub fn distinct_keys(&self) -> usize {
         self.cells.len()
     }
+
+    /// Approximate heap bytes: the map's slots (key, posting list and
+    /// control byte each), then every key, posting list and row-id list
+    /// at its allocated capacity.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let slot = size_of::<String>() + size_of::<Vec<Posting>>() + 1;
+        let owned = self.cells.iter().map(|(key, postings)| {
+            let rows: usize = postings.iter().map(|p| p.rows.capacity()).sum();
+            key.capacity() + postings.capacity() * size_of::<Posting>() + rows * size_of::<u32>()
+        });
+        self.cells.capacity() * slot + owned.sum::<usize>()
+    }
 }
 
 fn push_posting(map: &mut HashMap<String, Vec<Posting>>, key: &str, column: ColumnRef, row: u32) {

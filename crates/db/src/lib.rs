@@ -42,7 +42,7 @@
 //! provably-empty blocks during scans ([`ScanPred`] range hints,
 //! [`ExecStats::blocks_skipped`]); join indexes are CSR-shaped
 //! ([`JoinIndex`]: sorted keys + offsets + row arena), and
-//! [`Database::memory_report`] audits both byte-exactly.
+//! [`Database::memory_report`] audits both exactly and estimates the keyword index.
 //!
 //! Everything is deterministic and in-memory; databases are built once via
 //! [`DatabaseBuilder`] and never mutated afterwards, which is exactly the

@@ -8,8 +8,9 @@
 //!
 //! Run with: `cargo run --example csv_import`
 
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism::core::{DiscoveryConfig, DiscoveryService, TargetConstraints};
 use prism::db::DatabaseBuilder;
+use std::sync::Arc;
 
 const PRODUCTS_CSV: &str = "\
 Sku,Name,Category,Price,Introduced
@@ -74,8 +75,8 @@ fn main() {
     )
     .unwrap();
 
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
-    let result = engine.run(&constraints);
+    let service = DiscoveryService::new(Arc::new(db), DiscoveryConfig::default());
+    let result = service.run(&constraints);
     println!(
         "\n{} satisfying schema mappings in {:?}:",
         result.queries.len(),
@@ -83,8 +84,17 @@ fn main() {
     );
     for q in &result.queries {
         println!("\n  {}", q.sql);
-        for line in q.preview_table(&db).lines() {
+        for line in q.preview_table(service.database()).lines() {
             println!("    {line}");
         }
     }
+
+    // CI runs this example as a smoke test: fail loudly if the
+    // (name, region, price) mapping the analyst is after goes missing.
+    assert!(
+        result.queries.iter().any(|q| q
+            .sql
+            .starts_with("SELECT Product.Name, Orders.Region, Product.Price")),
+        "csv_import lost the (name, region, price) mapping"
+    );
 }

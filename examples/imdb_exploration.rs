@@ -8,11 +8,13 @@
 //!
 //! Run with: `cargo run --example imdb_exploration`
 
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism::core::{DiscoveryConfig, DiscoveryService, TargetConstraints};
 use prism::datasets::imdb;
+use std::sync::Arc;
 
 fn main() {
-    let db = imdb(42, 1);
+    let service = DiscoveryService::new(Arc::new(imdb(42, 1)), DiscoveryConfig::default());
+    let db = service.database();
     println!(
         "IMDB: {} tables, {} join edges, {} rows\n",
         db.catalog().table_count(),
@@ -35,8 +37,7 @@ fn main() {
     println!("  column 1: >= 1940 && <= 1959             (value range)");
     println!("  column 2: Akira Kurosawa                 (exact keyword)\n");
 
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
-    let result = engine.run(&constraints);
+    let result = service.run(&constraints);
     println!(
         "{} satisfying queries in {:?}:",
         result.queries.len(),
@@ -55,7 +56,7 @@ fn main() {
         .expect("director mapping discovered");
     println!("\nintended mapping:\n  {}", direct.sql);
     println!("\nrows:");
-    for row in direct.candidate.query.execute(&db, 5).unwrap() {
+    for row in direct.candidate.query.execute(db, 5).unwrap() {
         let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
         println!("  {}", cells.join(" | "));
     }

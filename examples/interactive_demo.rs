@@ -41,12 +41,14 @@ fn main() {
 
     banner("Description");
     // Step 2: the constraint grid. (For IMDB/NBA the script adapts the
-    // walk-through to that database's anchors.)
+    // walk-through to that database's anchors.) `key` is a fragment of the
+    // SQL of the mapping each walk-through is after.
     type Cells<'a> = Vec<(usize, &'a str)>;
-    let (cells, metadata): (Cells<'_>, Cells<'_>) = match which.as_str() {
+    let (cells, metadata, key): (Cells<'_>, Cells<'_>, &str) = match which.as_str() {
         "imdb" => (
             vec![(0, "Seven Samurai || Casablanca"), (1, "Akira Kurosawa")],
             vec![(2, "DataType=='int' AND MinValue>='1900'")],
+            "Directs.PersonId = Person.Id",
         ),
         "nba" => (
             vec![(0, "Lakers")],
@@ -54,10 +56,12 @@ fn main() {
                 (1, "DataType=='date'"),
                 (2, "DataType=='int' AND MaxValue<='200'"),
             ],
+            "Game.HomeTeam = Team.Id",
         ),
         _ => (
             vec![(0, "California || Nevada"), (1, "Lake Tahoe")],
             vec![(2, "DataType=='decimal' AND MinValue>='0'")],
+            "Lake.Name, Lake.Area FROM Lake, geo_lake",
         ),
     };
     for (col, text) in &cells {
@@ -70,15 +74,17 @@ fn main() {
     }
 
     // The frozen substrate is fully auditable: per-table column bytes
-    // (data + null bitmaps + zone maps) and exact CSR join-index bytes.
+    // (data + null bitmaps + zone maps), exact CSR join-index bytes, and
+    // an estimate of the keyword index.
     let mem = db.memory_report();
     println!(
         "  memory                   : {} B columns, {} B join indexes \
-         ({} indexed columns, {} rows/block)",
+         ({} indexed columns, {} rows/block), ~{} B keyword index",
         mem.total_column_bytes(),
-        mem.total_index_bytes(),
+        mem.join_index_bytes(),
         mem.indexes.len(),
         mem.block_rows,
+        mem.keyword_index_bytes,
     );
 
     banner("Start Searching!");
@@ -115,9 +121,12 @@ fn main() {
     for i in 0..n_queries.min(5) {
         println!("  [{i}] {}", session.result_sql(i).unwrap());
     }
-    if n_queries == 0 {
-        return;
-    }
+    // CI runs this demo as a smoke test: fail loudly if the walk-through
+    // stops listing the mapping it is after.
+    assert!(
+        (0..n_queries).any(|i| session.result_sql(i).unwrap().contains(key)),
+        "the {which} walk-through lost its key mapping ({key})"
+    );
     println!("\n-- selecting query #0 (demo step 4.1) --");
     println!("SQL (Figure 4b):\n  {}\n", session.result_sql(0).unwrap());
     println!("query graph with all constraints (Figure 4c):");

@@ -9,11 +9,13 @@
 //! Run with: `cargo run --example mondial_lakes`
 
 use prism::core::explain::{all_picks, explain, ConstraintPick};
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism::core::{DiscoveryConfig, DiscoveryService, TargetConstraints};
 use prism::datasets::mondial;
+use std::sync::Arc;
 
 fn main() {
-    let db = mondial(42, 1);
+    let service = DiscoveryService::new(Arc::new(mondial(42, 1)), DiscoveryConfig::default());
+    let db = service.database();
     println!(
         "Mondial: {} tables, {} join edges, {} rows\n",
         db.catalog().table_count(),
@@ -38,8 +40,7 @@ fn main() {
     )
     .unwrap();
 
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
-    let result = engine.run(&constraints);
+    let result = service.run(&constraints);
     println!(
         "{} satisfying queries in {:?} ({} validations over {} filters)",
         result.queries.len(),
@@ -58,7 +59,7 @@ fn main() {
 
     println!("query graph with all constraints (Figure 4c):");
     let g = explain(
-        &db,
+        db,
         &desired.candidate,
         &constraints,
         &all_picks(&constraints),
@@ -67,7 +68,7 @@ fn main() {
 
     println!("\nsame graph, single constraint picked (demo step 4.3):");
     let g1 = explain(
-        &db,
+        db,
         &desired.candidate,
         &constraints,
         &[ConstraintPick::Value {
@@ -80,7 +81,7 @@ fn main() {
     println!("\nGraphviz DOT (render with `dot -Tpng`):\n{}", g.to_dot());
 
     println!("target table (first rows):");
-    let rows = desired.candidate.query.execute(&db, 8).unwrap();
+    let rows = desired.candidate.query.execute(db, 8).unwrap();
     for row in rows {
         let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
         println!("  {}", cells.join(" | "));

@@ -11,11 +11,13 @@
 //! Run with: `cargo run --example nba_metadata`
 
 use prism::core::explain::{all_picks, explain};
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism::core::{DiscoveryConfig, DiscoveryService, TargetConstraints};
 use prism::datasets::nba;
+use std::sync::Arc;
 
 fn main() {
-    let db = nba(42, 1);
+    let service = DiscoveryService::new(Arc::new(nba(42, 1)), DiscoveryConfig::default());
+    let db = service.database();
     println!(
         "NBA: {} tables, {} join edges, {} rows\n",
         db.catalog().table_count(),
@@ -38,8 +40,7 @@ fn main() {
     println!("  column 1: DataType == 'date'                        (metadata only)");
     println!("  column 2: DataType == 'int' AND 0 <= values <= 200  (metadata only)\n");
 
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
-    let result = engine.run(&constraints);
+    let result = service.run(&constraints);
     println!(
         "{} satisfying queries in {:?}:",
         result.queries.len(),
@@ -63,9 +64,9 @@ fn main() {
 
     for (label, q) in [("HOME route", home), ("AWAY route", away)] {
         println!("\n=== {label} ===\n{}\n", q.sql);
-        let g = explain(&db, &q.candidate, &constraints, &all_picks(&constraints));
+        let g = explain(db, &q.candidate, &constraints, &all_picks(&constraints));
         print!("{}", g.to_ascii());
-        for row in q.candidate.query.execute(&db, 3).unwrap() {
+        for row in q.candidate.query.execute(db, 3).unwrap() {
             let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
             println!("  {}", cells.join(" | "));
         }

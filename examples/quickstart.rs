@@ -3,8 +3,9 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism::core::{DiscoveryConfig, DiscoveryService, TargetConstraints};
 use prism::db::{ColumnDef, DataType, DatabaseBuilder, Value};
+use std::sync::Arc;
 
 fn main() {
     // 1. A miniature source database: lakes and where they are.
@@ -66,8 +67,8 @@ fn main() {
     .expect("constraints parse");
 
     // 3. Discover satisfying Project-Join queries.
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
-    let result = engine.run(&constraints);
+    let service = DiscoveryService::new(Arc::new(db), DiscoveryConfig::default());
+    let result = service.run(&constraints);
 
     println!(
         "discovered {} satisfying schema mapping queries in {:?}:",

@@ -1,8 +1,8 @@
 //! # prism — multiresolution schema mapping (facade crate)
 //!
 //! Re-exports the full public API of the Prism reproduction. See the README
-//! for a tour; [`DiscoveryService`] is the owned multi-session entry point
-//! and `prism_core::Discovery` the single-user borrowed engine.
+//! for a tour; [`DiscoveryService`] is the one entry point, running rounds
+//! directly or through owned, concurrent [`SessionHandle`]s.
 
 pub use prism_bayes as bayes;
 pub use prism_core as core;

@@ -1,30 +1,37 @@
 //! Property-based tests of the discovery engine's core guarantees, driven
 //! by randomized constraints over synthetic Mondial.
 
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism::core::{DiscoveryConfig, DiscoveryResult, DiscoveryService, TargetConstraints};
 use prism::datasets::mondial;
 use prism::db::Database;
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-/// Shared database + engine: building them once keeps the 64-case proptest
-/// runs fast.
-fn db() -> &'static Database {
-    static DB: OnceLock<Database> = OnceLock::new();
-    DB.get_or_init(|| mondial(42, 1))
-}
-
-fn engine() -> &'static Discovery<'static> {
-    static ENGINE: OnceLock<Discovery<'static>> = OnceLock::new();
+/// Shared database + service: building them once keeps the 48-case
+/// proptest runs fast.
+fn engine() -> &'static DiscoveryService {
+    static ENGINE: OnceLock<DiscoveryService> = OnceLock::new();
     ENGINE.get_or_init(|| {
-        Discovery::new(
-            db(),
+        DiscoveryService::new(
+            Arc::new(mondial(42, 1)),
             DiscoveryConfig {
                 result_limit: 100_000,
                 ..DiscoveryConfig::default()
             },
         )
     })
+}
+
+fn db() -> &'static Database {
+    engine().database()
+}
+
+/// One fault-free round. The service contains a coordinator panic as an
+/// empty degraded result, which every property below would accept.
+fn run(tc: &TargetConstraints) -> DiscoveryResult {
+    let result = engine().run(tc);
+    assert!(!result.degraded, "{:?}", result.fault_reports);
+    result
 }
 
 /// Keywords that exist in Mondial plus ones that don't.
@@ -54,7 +61,7 @@ proptest! {
             &[vec![Some(kw.clone())]],
             &[],
         ) else { return Ok(()); };
-        let result = engine().run(&tc);
+        let result = run(&tc);
         for q in &result.queries {
             let rows = q.candidate.query.execute(db(), 500_000).unwrap();
             let c = tc.samples[0].cell(0).unwrap();
@@ -76,10 +83,8 @@ proptest! {
             &[vec![Some(format!("{kw} || Oregon"))]],
             &[],
         ) else { return Ok(()); };
-        let tight_keys: Vec<String> =
-            engine().run(&tight).queries.into_iter().map(|q| q.key).collect();
-        let loose_keys: Vec<String> =
-            engine().run(&loose).queries.into_iter().map(|q| q.key).collect();
+        let tight_keys: Vec<String> = run(&tight).queries.into_iter().map(|q| q.key).collect();
+        let loose_keys: Vec<String> = run(&loose).queries.into_iter().map(|q| q.key).collect();
         for k in &tight_keys {
             prop_assert!(
                 loose_keys.contains(k),
@@ -94,8 +99,8 @@ proptest! {
         let Ok(tc) = TargetConstraints::parse(1, &[vec![Some(kw)]], &[]) else {
             return Ok(());
         };
-        let a: Vec<String> = engine().run(&tc).queries.into_iter().map(|q| q.key).collect();
-        let b: Vec<String> = engine().run(&tc).queries.into_iter().map(|q| q.key).collect();
+        let a: Vec<String> = run(&tc).queries.into_iter().map(|q| q.key).collect();
+        let b: Vec<String> = run(&tc).queries.into_iter().map(|q| q.key).collect();
         prop_assert_eq!(a, b);
     }
 
@@ -111,7 +116,7 @@ proptest! {
             ]],
             &[],
         ).unwrap();
-        let result = engine().run(&tc);
+        let result = run(&tc);
         prop_assert!(!result.timed_out);
         // Soundness of the numeric column.
         for q in &result.queries {

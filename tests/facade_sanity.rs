@@ -5,9 +5,10 @@
 //! before the heavier end-to-end suites run.
 
 use prism::bayes::{BayesEstimator, TrainConfig};
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism::core::{DiscoveryConfig, DiscoveryService, TargetConstraints};
 use prism::db::{ColumnDef, DataType, DatabaseBuilder, Value};
 use prism::lang::{matches_value, parse_metadata_constraint, parse_value_constraint};
+use std::sync::Arc;
 
 fn toy_db() -> prism::db::Database {
     let mut b = DatabaseBuilder::new("sanity");
@@ -49,21 +50,25 @@ fn db_builds_and_indexes_through_the_facade() {
 
 #[test]
 fn core_discovers_on_a_toy_database_through_the_facade() {
-    let db = toy_db();
     let constraints = TargetConstraints::parse(
         2,
         &[vec![Some("Lake Tahoe".to_string()), None]],
         &[None, Some("DataType=='decimal'".to_string())],
     )
     .unwrap();
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
-    let result = engine.run(&constraints);
+    let service = DiscoveryService::new(Arc::new(toy_db()), DiscoveryConfig::default());
+    let result = service.run(&constraints);
+    assert!(!result.degraded, "{:?}", result.fault_reports);
     assert!(!result.timed_out);
     assert!(
         !result.queries.is_empty(),
         "discovery found nothing on the toy database"
     );
-    let rows = result.queries[0].candidate.query.execute(&db, 100).unwrap();
+    let rows = result.queries[0]
+        .candidate
+        .query
+        .execute(service.database(), 100)
+        .unwrap();
     assert!(rows.iter().any(|r| r[0] == Value::text("Lake Tahoe")));
 }
 

@@ -2,10 +2,12 @@
 //! all three demo databases must rediscover their ground-truth queries
 //! (Figure 2's architecture, end to end).
 
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
-use prism::datasets::{imdb, mondial, nba, Resolution, TaskGenConfig, TaskGenerator};
+use prism::core::{DiscoveryConfig, DiscoveryResult, DiscoveryService, TargetConstraints};
+use prism::datasets::{imdb, mondial, nba, MappingTask, Resolution, TaskGenConfig, TaskGenerator};
+use prism::db::Database;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn engine_config() -> DiscoveryConfig {
     DiscoveryConfig {
@@ -14,22 +16,25 @@ fn engine_config() -> DiscoveryConfig {
     }
 }
 
-fn run_tasks(
-    db: &prism::db::Database,
-    resolution: Resolution,
-    n: usize,
-    seed: u64,
-) -> (usize, usize) {
-    let engine = Discovery::new(db, engine_config());
+/// One fault-free round on `task`: the service contains a coordinator
+/// panic as an empty degraded result, which must fail these tests.
+fn run_task(svc: &DiscoveryService, task: &MappingTask) -> DiscoveryResult {
+    let constraints =
+        TargetConstraints::parse(task.column_count, &task.samples, &task.metadata).unwrap();
+    let result = svc.run(&constraints);
+    assert!(!result.degraded, "{:?}", result.fault_reports);
+    result
+}
+
+fn run_tasks(db: &Arc<Database>, resolution: Resolution, n: usize, seed: u64) -> (usize, usize) {
+    let svc = DiscoveryService::new(Arc::clone(db), engine_config());
     let taskgen = TaskGenerator::new(db, TaskGenConfig::default());
     let mut rng = StdRng::seed_from_u64(seed);
     let tasks = taskgen.generate_many(resolution, n, &mut rng);
     assert!(!tasks.is_empty(), "task generation failed on {}", db.name());
     let mut found = 0;
     for task in &tasks {
-        let constraints =
-            TargetConstraints::parse(task.column_count, &task.samples, &task.metadata).unwrap();
-        let result = engine.run(&constraints);
+        let result = run_task(&svc, task);
         assert!(!result.timed_out, "timeout on {}", db.name());
         if result.queries.iter().any(|q| q.key == task.truth_key) {
             found += 1;
@@ -40,14 +45,14 @@ fn run_tasks(
 
 #[test]
 fn mondial_exact_tasks_rediscover_ground_truth() {
-    let db = mondial(42, 1);
+    let db = Arc::new(mondial(42, 1));
     let (found, total) = run_tasks(&db, Resolution::Exact, 6, 1);
     assert_eq!(found, total, "exact constraints must always find the truth");
 }
 
 #[test]
 fn mondial_loose_tasks_still_find_ground_truth() {
-    let db = mondial(42, 1);
+    let db = Arc::new(mondial(42, 1));
     for resolution in [
         Resolution::Disjunction,
         Resolution::Range,
@@ -64,7 +69,7 @@ fn mondial_loose_tasks_still_find_ground_truth() {
 
 #[test]
 fn imdb_tasks_rediscover_ground_truth() {
-    let db = imdb(42, 1);
+    let db = Arc::new(imdb(42, 1));
     for resolution in [Resolution::Exact, Resolution::Range] {
         let (found, total) = run_tasks(&db, resolution, 5, 3);
         assert_eq!(found, total, "{resolution:?} on IMDB");
@@ -73,7 +78,7 @@ fn imdb_tasks_rediscover_ground_truth() {
 
 #[test]
 fn nba_tasks_rediscover_ground_truth() {
-    let db = nba(42, 1);
+    let db = Arc::new(nba(42, 1));
     for resolution in [Resolution::Exact, Resolution::Disjunction] {
         let (found, total) = run_tasks(&db, resolution, 5, 4);
         assert_eq!(found, total, "{resolution:?} on NBA");
@@ -82,10 +87,9 @@ fn nba_tasks_rediscover_ground_truth() {
 
 #[test]
 fn missing_cells_never_lose_the_truth_only_add_noise() {
-    let db = mondial(42, 1);
-    let engine = Discovery::new(&db, engine_config());
+    let svc = DiscoveryService::new(Arc::new(mondial(42, 1)), engine_config());
     let taskgen = TaskGenerator::new(
-        &db,
+        svc.database(),
         TaskGenConfig {
             min_columns: 3,
             max_columns: 3,
@@ -96,9 +100,7 @@ fn missing_cells_never_lose_the_truth_only_add_noise() {
     let mut rng = StdRng::seed_from_u64(5);
     let tasks = taskgen.generate_many(Resolution::Missing, 4, &mut rng);
     for task in &tasks {
-        let constraints =
-            TargetConstraints::parse(task.column_count, &task.samples, &task.metadata).unwrap();
-        let result = engine.run(&constraints);
+        let result = run_task(&svc, task);
         assert!(
             result.queries.iter().any(|q| q.key == task.truth_key),
             "truth lost with one missing cell: {}",

@@ -2,11 +2,25 @@
 //! constraints ("we plan to support more metadata constraints, and even
 //! user-defined functions" — Section 2.1). End-to-end through the facade.
 
-use prism::core::session::{Session, SessionConfig};
-use prism::core::{Discovery, DiscoveryConfig, TargetConstraints};
+use prism::core::{
+    DiscoveryConfig, DiscoveryResult, DiscoveryService, SessionConfig, TargetConstraints,
+};
 use prism::datasets::mondial;
 use prism::db::{DataType, Value};
 use prism::lang::UdfRegistry;
+use std::sync::Arc;
+
+fn service() -> DiscoveryService {
+    DiscoveryService::new(Arc::new(mondial(42, 1)), DiscoveryConfig::default())
+}
+
+/// One fault-free round: the service contains a coordinator panic as an
+/// empty degraded result, which must fail these tests, not pass them.
+fn run(svc: &DiscoveryService, tc: &TargetConstraints) -> DiscoveryResult {
+    let result = svc.run(tc);
+    assert!(!result.degraded, "{:?}", result.fault_reports);
+    result
+}
 
 fn registry() -> UdfRegistry {
     let mut udfs = UdfRegistry::new();
@@ -32,7 +46,6 @@ fn registry() -> UdfRegistry {
 
 #[test]
 fn value_udf_constrains_cells() {
-    let db = mondial(42, 1);
     let tc = TargetConstraints::parse(
         2,
         &[vec![
@@ -44,12 +57,12 @@ fn value_udf_constrains_cells() {
     .unwrap()
     .with_udfs(registry());
     assert!(tc.missing_udfs().is_empty());
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
-    let result = engine.run(&tc);
+    let svc = service();
+    let result = run(&svc, &tc);
     assert!(!result.queries.is_empty());
     // Soundness: some result row's column-1 cell has exactly two words.
     for q in &result.queries {
-        let rows = q.candidate.query.execute(&db, 200_000).unwrap();
+        let rows = q.candidate.query.execute(svc.database(), 200_000).unwrap();
         assert!(
             rows.iter().any(|r| r[1]
                 .as_text()
@@ -62,7 +75,6 @@ fn value_udf_constrains_cells() {
 
 #[test]
 fn column_udf_acts_as_metadata() {
-    let db = mondial(42, 1);
     let tc = TargetConstraints::parse(
         2,
         &[vec![Some("Lake Tahoe".to_string()), None]],
@@ -70,13 +82,13 @@ fn column_udf_acts_as_metadata() {
     )
     .unwrap()
     .with_udfs(registry());
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
-    let result = engine.run(&tc);
+    let svc = service();
+    let result = run(&svc, &tc);
     assert!(!result.queries.is_empty());
     // Every accepted assignment's column 1 satisfies the column UDF.
     for q in &result.queries {
         let col = q.candidate.assignment[1];
-        let stats = db.stats().column(col);
+        let stats = svc.database().stats().column(col);
         assert_eq!(stats.dtype, DataType::Decimal, "{}", q.sql);
         assert!(stats.min_num.unwrap() >= 0.0);
     }
@@ -84,7 +96,6 @@ fn column_udf_acts_as_metadata() {
 
 #[test]
 fn udfs_combine_with_builtin_predicates() {
-    let db = mondial(42, 1);
     // area >= 100 AND positive — conjunction of builtin + UDF.
     let tc = TargetConstraints::parse(
         2,
@@ -96,25 +107,21 @@ fn udfs_combine_with_builtin_predicates() {
     )
     .unwrap()
     .with_udfs(registry());
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
-    let result = engine.run(&tc);
+    let result = run(&service(), &tc);
     assert!(!result.queries.is_empty());
 }
 
 #[test]
 fn unregistered_udf_matches_nothing() {
-    let db = mondial(42, 1);
     let tc = TargetConstraints::parse(1, &[vec![Some("@ghost".to_string())]], &[]).unwrap(); // no registry attached
     assert_eq!(tc.missing_udfs(), vec!["@ghost (value)"]);
-    let engine = Discovery::new(&db, DiscoveryConfig::default());
-    let result = engine.run(&tc);
+    let result = run(&service(), &tc);
     assert!(result.queries.is_empty(), "unknown UDFs are conservative");
 }
 
 #[test]
 fn session_rejects_unknown_udfs_with_a_clear_error() {
-    let db = mondial(42, 1);
-    let mut session = Session::new(&db, SessionConfig::default());
+    let mut session = service().open_session(SessionConfig::default());
     session.set_sample_cell(0, 0, "@phantom").unwrap();
     let err = session.start_searching().unwrap_err();
     assert!(err.to_string().contains("phantom"), "{err}");
@@ -124,8 +131,9 @@ fn session_rejects_unknown_udfs_with_a_clear_error() {
         v.as_text().is_some_and(|s| s == "Lake Tahoe")
     });
     session.set_udfs(udfs);
-    let n = session.start_searching().unwrap().queries.len();
-    assert!(n > 0);
+    let result = session.start_searching().unwrap();
+    assert!(!result.degraded, "{:?}", result.fault_reports);
+    assert!(!result.queries.is_empty());
 }
 
 #[test]
