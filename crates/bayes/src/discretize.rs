@@ -5,8 +5,12 @@
 //! bin; numeric (and date/time, via ordinals) columns get equi-depth
 //! quantile bins. Every bin keeps a small reservoir of example values so
 //! that arbitrary value constraints can be scored per bin at query time.
+//! `fit` samples row ids, then stores each reservoir as its distinct
+//! values with multiplicities (a text MCV bin's eight samples are one
+//! value): each distinct value is materialized once, and scoring evaluates
+//! a constraint once per distinct sampled value.
 
-use prism_db::column::ColumnData;
+use prism_db::column::{Column, ColumnData};
 use prism_db::interner::SymbolTable;
 use prism_db::table::Table;
 use prism_db::types::{DataType, Value, ValueRef};
@@ -35,8 +39,10 @@ enum Binning {
 pub struct Discretizer {
     binning: Binning,
     bin_count: u8,
-    /// Reservoir of observed values per bin (index = bin id).
-    samples: Vec<Vec<Value>>,
+    /// Reservoir of observed values per bin (index = bin id), as distinct
+    /// values (exact identity, see [`Column::cell_identity`]) with the
+    /// number of reservoir slots each fills.
+    samples: Vec<Vec<(Value, u32)>>,
     /// Observed row count per bin, for exact per-bin predicate fractions.
     bin_rows: Vec<u32>,
 }
@@ -108,29 +114,32 @@ impl Discretizer {
         let mut disc = Discretizer {
             binning,
             bin_count,
-            samples: vec![Vec::new(); bin_count as usize],
+            samples: Vec::new(),
             bin_rows: vec![0; bin_count as usize],
         };
 
         let mut assignments = Vec::with_capacity(n);
+        let mut reservoirs: Vec<Vec<u32>> = vec![Vec::new(); bin_count as usize];
         for r in 0..n {
-            let v = col.value_ref(syms, r);
-            let bin = disc.bin_of_ref(v);
+            let bin = disc.bin_of_ref(col.value_ref(syms, r));
             assignments.push(bin);
             let seen = disc.bin_rows[bin as usize];
             disc.bin_rows[bin as usize] += 1;
-            // Reservoir sampling keeps a uniform sample per bin; values are
-            // materialized only when they actually enter the reservoir.
-            let slot = &mut disc.samples[bin as usize];
+            // Reservoir sampling keeps a uniform sample of rows per bin.
+            let slot = &mut reservoirs[bin as usize];
             if slot.len() < SAMPLES_PER_BIN {
-                slot.push(v.to_value());
+                slot.push(r as u32);
             } else {
                 let j = rng.gen_range(0..=seen as usize);
                 if j < SAMPLES_PER_BIN {
-                    slot[j] = v.to_value();
+                    slot[j] = r as u32;
                 }
             }
         }
+        disc.samples = reservoirs
+            .iter()
+            .map(|rows| distinct_values(col, syms, rows))
+            .collect();
         (disc, assignments)
     }
 
@@ -169,7 +178,8 @@ impl Discretizer {
     }
 
     /// Estimated fraction of this bin's rows that satisfy `c`, from the
-    /// bin's reservoir sample. NULL bins satisfy nothing.
+    /// bin's reservoir sample: the multiplicity of the matching distinct
+    /// values over the reservoir size. NULL bins satisfy nothing.
     pub fn bin_match_fraction(&self, bin: u8, c: &ValueConstraint) -> f64 {
         if bin == NULL_BIN {
             return 0.0;
@@ -178,14 +188,43 @@ impl Discretizer {
         if sample.is_empty() {
             return 0.0;
         }
-        let hits = sample.iter().filter(|v| matches_value(c, v)).count();
-        hits as f64 / sample.len() as f64
+        let (mut hits, mut size) = (0u32, 0u32);
+        for (v, m) in sample {
+            size += m;
+            if matches_value(c, v) {
+                hits += m;
+            }
+        }
+        f64::from(hits) / f64::from(size)
+    }
+
+    /// The reservoir of `bin`: its distinct sampled values, each with the
+    /// number of reservoir slots it fills.
+    pub fn bin_sample(&self, bin: u8) -> &[(Value, u32)] {
+        &self.samples[bin as usize]
     }
 
     /// Observed rows in each bin during training.
     pub fn bin_rows(&self) -> &[u32] {
         &self.bin_rows
     }
+}
+
+/// The distinct cells of `rows` (by [`Column::cell_identity`]), each
+/// materialized once, with the number of rows holding it.
+fn distinct_values(col: &Column, syms: &SymbolTable, rows: &[u32]) -> Vec<(Value, u32)> {
+    let mut distinct: Vec<(Option<u64>, usize, u32)> = Vec::with_capacity(rows.len());
+    for &r in rows {
+        let id = col.cell_identity(r as usize);
+        match distinct.iter_mut().find(|d| d.0 == id) {
+            Some(d) => d.2 += 1,
+            None => distinct.push((id, r as usize, 1)),
+        }
+    }
+    distinct
+        .into_iter()
+        .map(|(_, r, m)| (col.value_ref(syms, r).to_value(), m))
+        .collect()
 }
 
 #[cfg(test)]

@@ -17,8 +17,17 @@
 //! For a two-table tree the lift makes the formula collapse to the exactly
 //! conditioned `N · s · P(preds | J)`; larger trees use the tree
 //! factorization with conditional independence across edges.
+//!
+//! Every factor is exposed as a piece a scoring loop can memoize:
+//! [`BayesEstimator::relation_probability`] per table, and per edge
+//! [`BayesEstimator::edge_factor_with`], the one definition of the lift,
+//! which takes `P(preds | J)` and the endpoint probabilities from its
+//! caller. [`BayesEstimator::expected_matches`] composes the same pieces
+//! uncached, with the joint from [`JoinIndicator::conditional_joint`]; a
+//! memoizing caller passes the joint of memoized per-predicate pair masks
+//! ([`JoinIndicator::joint_of_masks`]) and gets the same bits.
 
-use crate::join_indicator::JoinIndicator;
+use crate::join_indicator::{JoinIndicator, Side};
 use crate::model::RelationModel;
 use prism_db::graph::JoinTree;
 use prism_db::schema::{ColumnRef, TableId};
@@ -144,38 +153,47 @@ impl BayesEstimator {
         preds_a: &[(u32, &ValueConstraint)],
         preds_b: &[(u32, &ValueConstraint)],
     ) -> f64 {
-        self.edge_factor_with(db, eid, preds_a, preds_b, |t, preds| {
-            self.relation_probability(t, preds)
-        })
+        let edge = db.graph().edge(eid);
+        self.edge_factor_with(
+            db,
+            eid,
+            !(preds_a.is_empty() && preds_b.is_empty()),
+            |ji| ji.conditional_joint(db, preds_a, preds_b),
+            |side| match side {
+                Side::A => self.relation_probability(edge.a.table, preds_a),
+                Side::B => self.relation_probability(edge.b.table, preds_b),
+            },
+        )
     }
 
-    /// [`BayesEstimator::edge_factor`] with the endpoint relation
-    /// probabilities supplied by `endpoint(table, preds)`, which must
-    /// return [`BayesEstimator::relation_probability`]`(table, preds)`. It
-    /// is called only when the lift needs them, endpoint `a` first, so a
-    /// caller that already memoizes relation probabilities can serve both
-    /// from its memo.
+    /// [`BayesEstimator::edge_factor`] with its inputs supplied by the
+    /// caller: `constrained` says whether either endpoint carries a
+    /// predicate, `joint(ji)` must return `ji`'s
+    /// [`JoinIndicator::conditional_joint`] of those predicates, and
+    /// `endpoint(side)` the [`BayesEstimator::relation_probability`] of that
+    /// side's table under its predicates. Each is called only when the lift
+    /// needs it, the joint first, then endpoint `A`, then `B`, so a caller
+    /// that memoizes them serves the lift from its memo.
     pub fn edge_factor_with(
         &self,
         db: &Database,
         eid: prism_db::graph::EdgeId,
-        preds_a: &[(u32, &ValueConstraint)],
-        preds_b: &[(u32, &ValueConstraint)],
-        mut endpoint: impl FnMut(TableId, &[(u32, &ValueConstraint)]) -> f64,
+        constrained: bool,
+        joint: impl FnOnce(&JoinIndicator) -> Option<f64>,
+        mut endpoint: impl FnMut(Side) -> f64,
     ) -> f64 {
-        let edge = db.graph().edge(eid);
         if !self.use_join_indicators {
             // Ablation: independence-only selectivity from index sizes.
-            return independence_selectivity(db, edge);
+            return independence_selectivity(db, db.graph().edge(eid));
         }
         let ji = &self.joins[eid.index()];
         let mut factor = ji.selectivity;
-        if preds_a.is_empty() && preds_b.is_empty() {
+        if !constrained {
             return factor;
         }
-        if let Some(p_joint) = ji.conditional_joint(db, preds_a, preds_b) {
-            let p_a = endpoint(edge.a.table, preds_a);
-            let p_b = endpoint(edge.b.table, preds_b);
+        if let Some(p_joint) = joint(ji) {
+            let p_a = endpoint(Side::A);
+            let p_b = endpoint(Side::B);
             if p_a > 0.0 && p_b > 0.0 {
                 factor *= (p_joint / (p_a * p_b)).clamp(LIFT_MIN, LIFT_MAX);
             }

@@ -11,6 +11,22 @@
 //!   tuples that actually join, which is where cross-relation correlation
 //!   lives (e.g. lakes that have a `geo_lake` row are the well-known, large
 //!   ones).
+//!
+//! ## Pair masks
+//!
+//! A sampled pair's cell repeats across the reservoir: a Zipf hub key joins
+//! many pairs, and a text column holds few distinct values. Each `(side,
+//! column)` of the reservoir therefore gets a *dictionary* on first use:
+//! one representative row per distinct cell, keyed by the cell's exact
+//! identity (symbol code, integer, or float bits — not `Value` equality,
+//! which merges `1` and `1.0`), and each pair's index into it. A
+//! predicate's [`JoinIndicator::pair_mask`] evaluates the constraint once
+//! per distinct cell and sets one bit per pair that satisfies it, and
+//! `P(preds | J = 1)` is the popcount of the AND of its predicates' masks
+//! ([`JoinIndicator::joint_of_masks`]). The masks depend only on the
+//! constraint and the column, so a scoring loop can compute each once and
+//! combine it into every predicate set that contains it. The dictionaries
+//! derive from training data alone and live as long as the indicator.
 
 use prism_db::graph::EdgeId;
 use prism_db::schema::ColumnRef;
@@ -18,6 +34,17 @@ use prism_db::Database;
 use prism_lang::{matches_value_ref, ValueConstraint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
+use std::sync::OnceLock;
+
+/// One endpoint of a join edge: `A` is the edge's a-column, `B` its
+/// b-column. A self-join's two sides are the same table but different rows
+/// of each pair, so masks are told apart by side, not by table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Side {
+    A,
+    B,
+}
 
 /// A trained join indicator for one schema-graph edge.
 #[derive(Debug, Clone)]
@@ -32,6 +59,19 @@ pub struct JoinIndicator {
     b_col: ColumnRef,
     /// Uniform reservoir sample of joined pairs `(a_row, b_row)`.
     sample: Vec<(u32, u32)>,
+    /// Per side (`Side as usize`) and column, the reservoir's dictionary,
+    /// built on first use.
+    dictionaries: [Vec<OnceLock<PairDictionary>>; 2],
+}
+
+/// The distinct cells of one column over one side of the reservoir.
+#[derive(Debug, Clone)]
+struct PairDictionary {
+    /// One representative row per distinct cell, in first-seen order.
+    rows: Vec<u32>,
+    /// Each pair's index into `rows`. Distinct cells come from distinct
+    /// `u32` rows, so a `u32` holds any index whatever the sample size.
+    ids: Vec<u32>,
 }
 
 impl JoinIndicator {
@@ -77,6 +117,10 @@ impl JoinIndicator {
         } else {
             0.0
         };
+        let lazy = |col: ColumnRef| {
+            let arity = db.catalog().table(col.table).arity();
+            (0..arity).map(|_| OnceLock::new()).collect()
+        };
         JoinIndicator {
             edge: edge_id,
             selectivity,
@@ -84,6 +128,7 @@ impl JoinIndicator {
             a_col,
             b_col,
             sample,
+            dictionaries: [lazy(a_col), lazy(b_col)],
         }
     }
 
@@ -92,11 +137,93 @@ impl JoinIndicator {
         self.sample.len()
     }
 
+    /// The sampled joined pairs `(a_row, b_row)`, in reservoir order: bit
+    /// `i` of a [`JoinIndicator::pair_mask`] speaks for pair `i`.
+    pub fn sample_pairs(&self) -> &[(u32, u32)] {
+        &self.sample
+    }
+
+    /// The endpoint column on `side`.
+    pub fn endpoint(&self, side: Side) -> ColumnRef {
+        match side {
+            Side::A => self.a_col,
+            Side::B => self.b_col,
+        }
+    }
+
+    /// The dictionary of `column` on `side`'s table, built on first use.
+    fn dictionary(&self, db: &Database, side: Side, column: u32) -> &PairDictionary {
+        self.dictionaries[side as usize][column as usize].get_or_init(|| {
+            let col = db.table(self.endpoint(side).table).column(column);
+            let mut id_of: HashMap<Option<u64>, u32> = HashMap::new();
+            let mut rows = Vec::new();
+            let ids = self
+                .sample
+                .iter()
+                .map(|&(a, b)| {
+                    let row = if side == Side::A { a } else { b };
+                    *id_of
+                        .entry(col.cell_identity(row as usize))
+                        .or_insert_with(|| {
+                            rows.push(row);
+                            (rows.len() - 1) as u32
+                        })
+                })
+                .collect();
+            PairDictionary { rows, ids }
+        })
+    }
+
+    /// The pairs whose `side` row satisfies `c` on `column`, one bit per
+    /// pair in reservoir order (`u64` words, least significant bit first).
+    /// `c` is evaluated once per distinct cell. Bits past the sample size
+    /// stay clear.
+    pub fn pair_mask(
+        &self,
+        db: &Database,
+        side: Side,
+        column: u32,
+        c: &ValueConstraint,
+    ) -> Vec<u64> {
+        let dict = self.dictionary(db, side, column);
+        let syms = db.symbols();
+        let table = db.table(self.endpoint(side).table);
+        let verdicts: Vec<bool> = dict
+            .rows
+            .iter()
+            .map(|&r| matches_value_ref(c, table.value_ref(syms, r, column)))
+            .collect();
+        let mut mask = vec![0u64; self.sample.len().div_ceil(64)];
+        for (i, &id) in dict.ids.iter().enumerate() {
+            mask[i / 64] |= u64::from(verdicts[id as usize]) << (i % 64);
+        }
+        mask
+    }
+
+    /// `P(every mask's predicate | J = 1)`: the pairs set in every mask
+    /// (all pairs when `masks` is empty), with add-half smoothing so the
+    /// estimate stays usable on small samples. Each mask must come from
+    /// this indicator's [`JoinIndicator::pair_mask`]. Returns `None` when
+    /// no sample is available (empty join).
+    pub fn joint_of_masks(&self, masks: &[&[u64]]) -> Option<f64> {
+        let n = self.sample.len();
+        if n == 0 {
+            return None;
+        }
+        let hits = match masks.first() {
+            None => n,
+            Some(first) => (0..first.len())
+                .map(|w| masks.iter().fold(!0u64, |acc, m| acc & m[w]).count_ones() as usize)
+                .sum(),
+        };
+        Some((hits as f64 + 0.5) / (n as f64 + 1.0))
+    }
+
     /// Estimate `P(preds_a ∧ preds_b | J = 1)` from the joined-pair sample,
     /// where each predicate list gives `(column, constraint)` pairs on the
-    /// a-side / b-side table respectively. Add-half smoothing keeps the
-    /// estimate usable on small samples. Returns `None` when no sample is
-    /// available (empty join).
+    /// a-side / b-side table respectively: the
+    /// [`JoinIndicator::joint_of_masks`] of the predicates' pair masks.
+    /// Returns `None` when no sample is available (empty join).
     pub fn conditional_joint(
         &self,
         db: &Database,
@@ -106,25 +233,17 @@ impl JoinIndicator {
         if self.sample.is_empty() {
             return None;
         }
-        let syms = db.symbols();
-        let a_table = db.table(self.a_col.table);
-        let b_table = db.table(self.b_col.table);
-        let mut hits = 0usize;
-        for &(ar, br) in &self.sample {
-            let a_ok = preds_a
-                .iter()
-                .all(|(c, k)| matches_value_ref(k, a_table.value_ref(syms, ar, *c)));
-            if !a_ok {
-                continue;
-            }
-            let b_ok = preds_b
-                .iter()
-                .all(|(c, k)| matches_value_ref(k, b_table.value_ref(syms, br, *c)));
-            if b_ok {
-                hits += 1;
-            }
-        }
-        Some((hits as f64 + 0.5) / (self.sample.len() as f64 + 1.0))
+        let masks: Vec<Vec<u64>> = preds_a
+            .iter()
+            .map(|&(col, c)| self.pair_mask(db, Side::A, col, c))
+            .chain(
+                preds_b
+                    .iter()
+                    .map(|&(col, c)| self.pair_mask(db, Side::B, col, c)),
+            )
+            .collect();
+        let masks: Vec<&[u64]> = masks.iter().map(Vec::as_slice).collect();
+        self.joint_of_masks(&masks)
     }
 }
 

@@ -32,5 +32,5 @@ pub mod model;
 
 pub use discretize::Discretizer;
 pub use estimator::{BayesEstimator, TrainConfig};
-pub use join_indicator::JoinIndicator;
+pub use join_indicator::{JoinIndicator, Side};
 pub use model::RelationModel;

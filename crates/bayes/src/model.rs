@@ -17,6 +17,7 @@ use prism_db::interner::SymbolTable;
 use prism_db::table::Table;
 use prism_lang::ValueConstraint;
 use rand::rngs::StdRng;
+use std::borrow::Cow;
 
 /// Laplace smoothing pseudo-count for CPT cells.
 const SMOOTHING: f64 = 0.5;
@@ -218,7 +219,7 @@ impl RelationModel {
     /// `m(node, pb) = Σ_b P(b | pb) · weight(b) · Π_child m(child, b)` is
     /// evaluated once per parent bin, children first, and the roots'
     /// messages multiply into the answer.
-    pub fn probability_with_weights(&self, evidence: &[Option<Vec<f64>>]) -> f64 {
+    pub fn probability_with_weights<W: AsRef<[f64]>>(&self, evidence: &[Option<W>]) -> f64 {
         if self.row_count == 0 {
             return 0.0;
         }
@@ -234,7 +235,7 @@ impl RelationModel {
                 for b in 0..cpt.card {
                     let mut term = cpt.prob(pb, b);
                     if let Some(w) = &evidence[node] {
-                        term *= w[b];
+                        term *= w.as_ref()[b];
                         if term == 0.0 {
                             continue;
                         }
@@ -257,22 +258,39 @@ impl RelationModel {
         p.clamp(0.0, 1.0)
     }
 
-    /// Convenience wrapper: constraints as (column, constraint) pairs.
-    pub fn probability(&self, constraints: &[(u32, &ValueConstraint)]) -> f64 {
-        let mut evidence: Vec<Option<Vec<f64>>> = vec![None; self.column_count()];
-        for (col, c) in constraints {
-            let w = self.column_weights(*col, c);
-            // Conjoined constraints on the same column multiply pointwise.
-            match &mut evidence[*col as usize] {
+    /// P(a uniformly random tuple satisfies every constraint), with each
+    /// constraint given by its column and its
+    /// [`RelationModel::column_weights`]. Conjoined constraints on the same
+    /// column multiply pointwise, in the order given. A caller that
+    /// memoizes column weights composes the same probability as
+    /// [`RelationModel::probability`] through this.
+    pub fn probability_with<'w>(&self, weights: impl IntoIterator<Item = (u32, &'w [f64])>) -> f64 {
+        let mut evidence: Vec<Option<Cow<'w, [f64]>>> = vec![None; self.column_count()];
+        for (col, w) in weights {
+            match &mut evidence[col as usize] {
                 Some(existing) => {
-                    for (e, nw) in existing.iter_mut().zip(&w) {
+                    for (e, nw) in existing.to_mut().iter_mut().zip(w) {
                         *e *= nw;
                     }
                 }
-                slot => *slot = Some(w),
+                slot => *slot = Some(Cow::Borrowed(w)),
             }
         }
         self.probability_with_weights(&evidence)
+    }
+
+    /// Convenience wrapper: constraints as (column, constraint) pairs.
+    pub fn probability(&self, constraints: &[(u32, &ValueConstraint)]) -> f64 {
+        let weights: Vec<Vec<f64>> = constraints
+            .iter()
+            .map(|(col, c)| self.column_weights(*col, c))
+            .collect();
+        self.probability_with(
+            constraints
+                .iter()
+                .zip(&weights)
+                .map(|((col, _), w)| (*col, &w[..])),
+        )
     }
 }
 

@@ -42,6 +42,8 @@ pub struct ResolutionRow {
     pub avg_queries: f64,
     /// Mean wall-clock time per discovery round.
     pub avg_time: Duration,
+    /// Median wall-clock time per discovery round, over the level's tasks.
+    pub median_time: Duration,
     /// Mean filter validations per round.
     pub avg_validations: f64,
     /// Rounds that hit the time budget.
@@ -49,7 +51,12 @@ pub struct ResolutionRow {
 }
 
 /// Run the E1/E2 sweep: `n_tasks` discovery rounds at each resolution,
-/// on `svc`'s database under its configuration.
+/// on `svc`'s database under its configuration. Every task runs once
+/// untimed before the timed pass, so no level pays the service's cold
+/// start (plan compiles into the shared cache, the estimator's lazy
+/// reservoir dictionaries) for the others. The timed pass takes the
+/// levels' tasks in turn, so host drift during the sweep falls on every
+/// level alike.
 pub fn resolution_sweep(
     svc: &DiscoveryService,
     resolutions: &[Resolution],
@@ -57,42 +64,86 @@ pub fn resolution_sweep(
     seed: u64,
 ) -> Vec<ResolutionRow> {
     let taskgen = TaskGenerator::new(svc.database(), TaskGenConfig::default());
-    let mut rows = Vec::new();
-    for &resolution in resolutions {
-        // Same task seed per resolution: each level re-derives constraints
-        // from the same ground-truth population.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let tasks = taskgen.generate_many(resolution, n_tasks, &mut rng);
-        let mut truth_found = 0usize;
-        let mut total_queries = 0usize;
-        let mut total_time = Duration::ZERO;
-        let mut total_validations = 0u64;
-        let mut timeouts = 0usize;
-        for task in &tasks {
-            let constraints = task_constraints(task);
-            let result = svc.run(&constraints);
-            if result.queries.iter().any(|q| q.key == task.truth_key) {
-                truth_found += 1;
+    let mut levels: Vec<Level> = resolutions
+        .iter()
+        .map(|&resolution| {
+            // Same task seed per resolution: each level re-derives
+            // constraints from the same ground-truth population.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let tasks = taskgen.generate_many(resolution, n_tasks, &mut rng);
+            Level {
+                resolution,
+                constraints: tasks.iter().map(task_constraints).collect(),
+                tasks,
+                truth_found: 0,
+                queries: 0,
+                times: Vec::new(),
+                validations: 0,
+                timeouts: 0,
             }
-            total_queries += result.queries.len();
-            total_time += result.stats.elapsed;
-            total_validations += result.stats.validations;
-            if result.timed_out {
-                timeouts += 1;
-            }
+        })
+        .collect();
+    for level in &levels {
+        for c in &level.constraints {
+            svc.run(c);
         }
-        let n = tasks.len().max(1);
-        rows.push(ResolutionRow {
-            resolution,
-            tasks: tasks.len(),
-            truth_found: truth_found as f64 / n as f64,
-            avg_queries: total_queries as f64 / n as f64,
-            avg_time: total_time / n as u32,
-            avg_validations: total_validations as f64 / n as f64,
-            timeouts,
-        });
     }
-    rows
+    let rounds = levels.iter().map(|l| l.tasks.len()).max().unwrap_or(0);
+    for i in 0..rounds {
+        for level in &mut levels {
+            let (Some(task), Some(c)) = (level.tasks.get(i), level.constraints.get(i)) else {
+                continue;
+            };
+            let result = svc.run(c);
+            level.truth_found +=
+                usize::from(result.queries.iter().any(|q| q.key == task.truth_key));
+            level.queries += result.queries.len();
+            level.times.push(result.stats.elapsed);
+            level.validations += result.stats.validations;
+            level.timeouts += usize::from(result.timed_out);
+        }
+    }
+    levels
+        .into_iter()
+        .map(|mut l| {
+            let n = l.tasks.len().max(1);
+            let total_time: Duration = l.times.iter().sum();
+            l.times.sort_unstable();
+            ResolutionRow {
+                resolution: l.resolution,
+                tasks: l.tasks.len(),
+                truth_found: l.truth_found as f64 / n as f64,
+                avg_queries: l.queries as f64 / n as f64,
+                avg_time: total_time / n as u32,
+                median_time: median(&l.times),
+                avg_validations: l.validations as f64 / n as f64,
+                timeouts: l.timeouts,
+            }
+        })
+        .collect()
+}
+
+/// One resolution level of a sweep: its tasks, and the totals of their
+/// timed rounds.
+struct Level {
+    resolution: Resolution,
+    tasks: Vec<MappingTask>,
+    constraints: Vec<TargetConstraints>,
+    truth_found: usize,
+    queries: usize,
+    times: Vec<Duration>,
+    validations: u64,
+    timeouts: usize,
+}
+
+/// The median of sorted durations (mean of the middle two for an even
+/// count; zero when empty).
+fn median(sorted: &[Duration]) -> Duration {
+    match sorted.len() {
+        0 => Duration::ZERO,
+        n if n % 2 == 1 => sorted[n / 2],
+        n => (sorted[n / 2 - 1] + sorted[n / 2]) / 2,
+    }
 }
 
 /// Per-task validation counts of every scheduler (E3 + ablations).
@@ -265,7 +316,16 @@ mod tests {
             assert!(r.tasks >= 3, "{:?}", r);
             assert!(r.truth_found > 0.5, "{:?}", r);
             assert!(r.avg_queries >= 1.0);
+            assert!(r.median_time > Duration::ZERO, "{:?}", r);
         }
+    }
+
+    #[test]
+    fn median_takes_the_middle_of_sorted_durations() {
+        let ms = Duration::from_millis;
+        assert_eq!(median(&[]), Duration::ZERO);
+        assert_eq!(median(&[ms(1), ms(2), ms(9)]), ms(2));
+        assert_eq!(median(&[ms(1), ms(3), ms(5), ms(100)]), ms(4));
     }
 
     #[test]

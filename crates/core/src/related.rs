@@ -134,7 +134,7 @@ fn column_satisfies(
     if let Some(keywords) = c.eq_keywords() {
         return keywords
             .iter()
-            .any(|lit| !db.index().rows_in_column(col, &lit.raw).is_empty());
+            .any(|lit| db.index().column_has_cell(col, &lit.raw));
     }
     // Statistics prefilter: a purely numeric range constraint cannot match a
     // column whose min/max lie entirely outside it. (UDF predicates get a

@@ -59,11 +59,14 @@ use crate::faults::{FaultCounters, FaultNote, FaultSpec, SlotVerdict};
 use crate::filters::{Filter, FilterId, FilterSet};
 use crate::parallel::{validate_with_pool, BatchRunner};
 use crate::validate::{validate_filter_cached, validate_filter_guarded, SlotEnv};
-use prism_bayes::BayesEstimator;
-use prism_db::{Database, ExecScratch, ExecStats};
+use prism_bayes::{BayesEstimator, Side};
+use prism_db::hash::MulRotMap;
+use prism_db::{Database, EdgeId, ExecScratch, ExecStats, TableId};
 use prism_lang::ValueConstraint;
+use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Which validation strategy to use.
@@ -109,28 +112,62 @@ impl FailureModel for PathLengthModel {
 
 /// Prism: Bayesian models + join indicators.
 ///
-/// Scoring is cached per model instance: across the hundreds of filters of
-/// one scheduling run, the distinct `(table, predicate set)` and
-/// `(edge, predicate sets)` sub-inferences number only a handful (filters
-/// share trees and constraint cells), while each uncached evaluation walks
-/// sampled join-pair reservoirs. Keys are `(sample, target)` indices into
-/// the fixed [`TargetConstraints`] — stable for the model's lifetime — so
-/// the cache can never alias two different constraints. Construct via
-/// [`BayesModel::new`].
+/// One model scores one scheduling run, and memoizes every inference it
+/// makes for the run's lifetime, first per predicate, then per predicate
+/// set:
+///
+/// * per predicate, the evidence: each join edge side's pair mask
+///   ([`prism_bayes::JoinIndicator::pair_mask`]) keyed by `(sample,
+///   target, edge, side, column)`, and each column's per-bin weights
+///   ([`prism_bayes::RelationModel::column_weights`]) keyed by `(sample,
+///   target, table, column)`;
+/// * per predicate set, a table's `(column, target)` list interned to an
+///   id: each table's relation probability keyed by `(sample, table, set)`,
+///   and each edge's factor keyed by `(sample, edge, set on a, set on b)`.
+///
+/// Filters share trees and constraint cells, so a round's hundreds of
+/// filters reduce to a few dozen distinct edge factors, and each of those
+/// ANDs masks that other edge factors of the round already computed. Keys
+/// name a constraint by its `(sample, target)` index into the fixed
+/// [`TargetConstraints`], stable for the model's lifetime, so the memo can
+/// never alias two different constraints; nothing outlives the model.
+/// Construct via [`BayesModel::new`].
 pub struct BayesModel<'a> {
     pub estimator: &'a BayesEstimator,
     pub constraints: &'a TargetConstraints,
-    cache: InferenceCache,
+    memo: RefCell<InferenceMemo>,
 }
 
-/// Predicate-set identity inside one model: `(column, target)` pairs plus
-/// the sample index — independent of memory addresses.
-type PredSetKey = Vec<(u32, usize)>;
+/// A predicate's memo key: `(sample, target, edge, side, column)`.
+type MaskKey = (usize, usize, EdgeId, Side, u32);
 
 #[derive(Default)]
-struct InferenceCache {
-    relation: std::cell::RefCell<HashMap<(usize, prism_db::TableId, PredSetKey), f64>>,
-    edge: std::cell::RefCell<HashMap<(usize, prism_db::EdgeId, PredSetKey, PredSetKey), f64>>,
+struct InferenceMemo {
+    /// Interned predicate sets: one table's `(column, target)` pairs, in
+    /// filter order.
+    sets: MulRotMap<Vec<(u32, usize)>, u32>,
+    relations: RelationMemo,
+    edges: MulRotMap<(usize, EdgeId, u32, u32), f64>,
+    masks: MulRotMap<MaskKey, Vec<u64>>,
+    /// One call's predicates grouped per tree table: `keys[group.keys]`.
+    keys: Vec<(u32, usize)>,
+    groups: Vec<Group>,
+}
+
+/// The predicates of one filter on one table of its tree, in the order of
+/// the tree's tables.
+struct Group {
+    table: TableId,
+    /// Interned id of `keys`.
+    set: u32,
+    /// Range of the model's `keys` scratch.
+    keys: Range<usize>,
+}
+
+#[derive(Default)]
+struct RelationMemo {
+    probability: MulRotMap<(usize, TableId, u32), f64>,
+    weights: MulRotMap<(usize, usize, TableId, u32), Vec<f64>>,
 }
 
 impl<'a> BayesModel<'a> {
@@ -141,28 +178,45 @@ impl<'a> BayesModel<'a> {
         BayesModel {
             estimator,
             constraints,
-            cache: InferenceCache::default(),
+            memo: RefCell::default(),
         }
+    }
+
+    /// The constraint on `target` in sample `s`.
+    fn cell(&self, s: usize, target: usize) -> &'a ValueConstraint {
+        self.constraints.samples[s]
+            .cell(target)
+            .expect("constrained cell")
     }
 }
 
-impl BayesModel<'_> {
-    /// [`BayesEstimator::relation_probability`] of `t` under `preds`,
-    /// memoized per `(sample, table, key)`; `key` names `preds` by
-    /// `(column, target)`.
-    fn relation_probability(
-        &self,
+impl RelationMemo {
+    /// [`BayesEstimator::relation_probability`] of `t` under sample `s`'s
+    /// constraints on `keys`, interned as `set`: composed from memoized
+    /// column weights on a miss.
+    fn probability(
+        &mut self,
+        model: &BayesModel<'_>,
         s: usize,
-        t: prism_db::TableId,
-        key: &PredSetKey,
-        preds: &[(u32, &ValueConstraint)],
+        t: TableId,
+        set: u32,
+        keys: &[(u32, usize)],
     ) -> f64 {
-        let cache_key = (s, t, key.clone());
-        if let Some(&p) = self.cache.relation.borrow().get(&cache_key) {
+        if let Some(&p) = self.probability.get(&(s, t, set)) {
             return p;
         }
-        let p = self.estimator.relation_probability(t, preds);
-        self.cache.relation.borrow_mut().insert(cache_key, p);
+        let relation = model.estimator.relation(t);
+        for &(col, target) in keys {
+            self.weights
+                .entry((s, target, t, col))
+                .or_insert_with(|| relation.column_weights(col, model.cell(s, target)));
+        }
+        let weights = &self.weights;
+        let p = relation.probability_with(
+            keys.iter()
+                .map(|&(col, target)| (col, weights[&(s, target, t, col)].as_slice())),
+        );
+        self.probability.insert((s, t, set), p);
         p
     }
 }
@@ -170,56 +224,106 @@ impl BayesModel<'_> {
 impl FailureModel for BayesModel<'_> {
     /// `exp(-E[matches])` — the same Poisson zero class as
     /// [`BayesEstimator::failure_probability`], composed from the
-    /// estimator's cacheable pieces (`relation_probability`,
-    /// `edge_factor_with`) with per-run memoization: edge factors take
-    /// their endpoint probabilities from the same relation memo. A
-    /// regression test asserts bit-identical agreement with the uncached
-    /// estimator call.
+    /// estimator's pieces (`relation_probability` through
+    /// `RelationModel::probability_with`, and `edge_factor_with` with the
+    /// joint of memoized pair masks) in the same order, so the result is
+    /// bit-identical; a regression test asserts it.
     fn failure_probability(&self, db: &Database, fs: &FilterSet, f: FilterId) -> f64 {
         let filter = fs.filter(f);
         let s = filter.sample;
-        let sample = &self.constraints.samples[s];
-        // Group predicates per table: the cache key (column, target) and
-        // the callable form (column, constraint) side by side.
-        type Group<'c> = (PredSetKey, Vec<(u32, &'c ValueConstraint)>);
-        let mut by_table: HashMap<prism_db::TableId, Group<'_>> = HashMap::new();
-        for &(target, col) in &filter.preds {
-            let c = sample.cell(target).expect("constrained cell");
-            let g = by_table.entry(col.table).or_default();
-            g.0.push((col.column, target));
-            g.1.push((col.column, c));
+        let mut memo = self.memo.borrow_mut();
+        let InferenceMemo {
+            sets,
+            relations,
+            edges,
+            masks,
+            keys,
+            groups,
+        } = &mut *memo;
+        keys.clear();
+        groups.clear();
+        for &table in &filter.tree.tables {
+            let start = keys.len();
+            keys.extend(
+                filter
+                    .preds
+                    .iter()
+                    .filter(|(_, col)| col.table == table)
+                    .map(|&(target, col)| (col.column, target)),
+            );
+            let set = match sets.get(&keys[start..]) {
+                Some(&id) => id,
+                None => {
+                    let id = sets.len() as u32;
+                    sets.insert(keys[start..].to_vec(), id);
+                    id
+                }
+            };
+            groups.push(Group {
+                table,
+                set,
+                keys: start..keys.len(),
+            });
         }
         let mut expected = 1.0f64;
-        for &t in &filter.tree.tables {
-            let rows = db.row_count(t) as f64;
+        for g in groups.iter() {
+            let rows = db.row_count(g.table) as f64;
             if rows == 0.0 {
                 expected = 0.0;
                 break;
             }
             expected *= rows;
-            if let Some((key, preds)) = by_table.get(&t) {
-                expected *= self.relation_probability(s, t, key, preds);
+            if !g.keys.is_empty() {
+                expected *= relations.probability(self, s, g.table, g.set, &keys[g.keys.clone()]);
             }
         }
         if expected > 0.0 {
-            let empty: Group<'_> = (Vec::new(), Vec::new());
             for &eid in &filter.tree.edges {
                 let edge = db.graph().edge(eid);
-                let (ka, pa) = by_table.get(&edge.a.table).unwrap_or(&empty);
-                let (kb, pb) = by_table.get(&edge.b.table).unwrap_or(&empty);
-                let cache_key = (s, eid, ka.clone(), kb.clone());
-                let cached = self.cache.edge.borrow().get(&cache_key).copied();
-                let factor = cached.unwrap_or_else(|| {
-                    let x = self
-                        .estimator
-                        .edge_factor_with(db, eid, pa, pb, |t, preds| {
-                            let key = if t == edge.a.table { ka } else { kb };
-                            self.relation_probability(s, t, key, preds)
-                        });
-                    self.cache.edge.borrow_mut().insert(cache_key, x);
-                    x
-                });
-                expected *= factor;
+                // A tree's sorted tables span its edges' endpoints.
+                let side = |t: TableId| {
+                    let g = &groups[filter.tree.tables.binary_search(&t).expect("tree table")];
+                    (g.set, &keys[g.keys.clone()])
+                };
+                let (a, b) = (side(edge.a.table), side(edge.b.table));
+                if let Some(&x) = edges.get(&(s, eid, a.0, b.0)) {
+                    expected *= x;
+                    continue;
+                }
+                let sides = [(Side::A, a.1), (Side::B, b.1)];
+                let x = self.estimator.edge_factor_with(
+                    db,
+                    eid,
+                    !(a.1.is_empty() && b.1.is_empty()),
+                    |ji| {
+                        for &(side, keys) in &sides {
+                            for &(col, target) in keys {
+                                masks.entry((s, target, eid, side, col)).or_insert_with(|| {
+                                    ji.pair_mask(db, side, col, self.cell(s, target))
+                                });
+                            }
+                        }
+                        let masks = &*masks;
+                        let all: Vec<&[u64]> = sides
+                            .iter()
+                            .flat_map(|&(side, keys)| {
+                                keys.iter().map(move |&(col, target)| {
+                                    masks[&(s, target, eid, side, col)].as_slice()
+                                })
+                            })
+                            .collect();
+                        ji.joint_of_masks(&all)
+                    },
+                    |end| {
+                        let (t, (set, keys)) = match end {
+                            Side::A => (edge.a.table, a),
+                            Side::B => (edge.b.table, b),
+                        };
+                        relations.probability(self, s, t, set, keys)
+                    },
+                );
+                edges.insert((s, eid, a.0, b.0), x);
+                expected *= x;
             }
         }
         (-expected.max(0.0)).exp().clamp(0.0, 1.0)
@@ -1546,10 +1650,14 @@ mod tests {
     /// probabilities from the relation memo. Beyond the walk-through, taskgen
     /// tasks over Mondial and NBA at every resolution supply filters whose
     /// trees have two or more edges, where one endpoint's memo entry serves
-    /// several edges.
+    /// several edges. Disjunction and Range tasks over a Zipf-skewed
+    /// database add join-pair reservoirs dominated by a few hub keys, where
+    /// pair masks repeat cells the most; they carry three sample rows, so
+    /// different constraints on one target meet the same edge side and
+    /// column, which only the sample index in a memo key tells apart.
     #[test]
     fn cached_bayes_scoring_matches_the_uncached_estimator() {
-        use prism_datasets::{nba, Resolution, TaskGenConfig, TaskGenerator};
+        use prism_datasets::{nba, skewed, Resolution, TaskGenConfig, TaskGenerator};
         use rand::SeedableRng;
         let s = walkthrough();
         let (_, fs) = prepare(&s);
@@ -1557,11 +1665,28 @@ mod tests {
         assert_cached_bayes_matches(&s.db, &est, &s.tc, &fs);
         let config = DiscoveryConfig::default();
         let mut deep_filters = 0;
-        for db in [mondial(42, 1), nba(42, 1)] {
+        let three_rows = TaskGenConfig {
+            sample_rows: 3,
+            ..TaskGenConfig::default()
+        };
+        let cases = [
+            (
+                mondial(42, 1),
+                &Resolution::ALL[..],
+                TaskGenConfig::default(),
+            ),
+            (nba(42, 1), &Resolution::ALL[..], TaskGenConfig::default()),
+            (
+                skewed(5, 1, 1.2),
+                &[Resolution::Disjunction, Resolution::Range][..],
+                three_rows,
+            ),
+        ];
+        for (db, resolutions, taskgen_config) in cases {
             let est = prism_bayes::BayesEstimator::train(&db, &TrainConfig::default());
-            let taskgen = TaskGenerator::new(&db, TaskGenConfig::default());
+            let taskgen = TaskGenerator::new(&db, taskgen_config);
             let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-            for resolution in Resolution::ALL {
+            for &resolution in resolutions {
                 for task in taskgen.generate_many(resolution, 2, &mut rng) {
                     let tc =
                         TargetConstraints::parse(task.column_count, &task.samples, &task.metadata)

@@ -372,6 +372,23 @@ impl Column {
         self.nulls.count()
     }
 
+    /// The exact identity of cell `row`, `None` for NULL: its dictionary
+    /// code, integer, or float bits. All cells of one column share one
+    /// representation, so two cells are equal exactly when their
+    /// identities are — unlike `Value` equality, which merges `1` and
+    /// `1.0`.
+    #[inline]
+    pub fn cell_identity(&self, row: usize) -> Option<u64> {
+        if self.nulls.is_null(row) {
+            return None;
+        }
+        Some(match &self.data {
+            ColumnData::Int(v) => v[row] as u64,
+            ColumnData::Decimal(v) => v[row].to_bits(),
+            ColumnData::Sym(v) => u64::from(v[row]),
+        })
+    }
+
     /// Append one cell. The value must already be validated against (and
     /// widened to) this column's type — [`crate::Table::push_row`] does so.
     pub(crate) fn push(&mut self, v: Value, syms: &mut SymbolTable) {

@@ -12,7 +12,6 @@
 //! docs for the key contract).
 
 use crate::batch::ColumnBatch;
-use crate::column::ColumnData;
 use crate::error::DbError;
 use crate::graph::{JoinEdge, SchemaGraph};
 use crate::index::{InvertedIndex, JoinIndex};
@@ -21,7 +20,7 @@ use crate::schema::{Catalog, ColumnDef, ColumnRef, ForeignKey, TableId, TableSch
 use crate::stats::{ColumnStats, StatsStore};
 use crate::table::Table;
 use crate::types::{DataType, KeySpace, Value, ValueRef};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 impl ColumnDef {
     /// A nullable column (the common case in Mondial-style data).
@@ -210,30 +209,17 @@ impl DatabaseBuilder {
             t.freeze_blocks(block_rows);
         }
 
-        // Inverted index over every cell. Dictionary columns canonicalize
-        // each distinct code once instead of re-normalizing per row.
+        // Inverted index over every column's distinct cells: each is
+        // canonicalized once, however many rows repeat it.
         let mut index = InvertedIndex::new();
         for (tid, schema) in catalog.tables() {
             let table = &tables[tid.index()];
             for c in 0..schema.arity() as u32 {
-                let col_ref = ColumnRef::new(tid, c);
                 let col = table.column(c);
-                if let ColumnData::Sym(codes) = col.data() {
-                    let mut key_cache: HashMap<u32, String> = HashMap::new();
-                    for (r, &code) in codes.iter().enumerate() {
-                        if col.is_null(r) {
-                            continue;
-                        }
-                        let key = key_cache.entry(code).or_insert_with(|| {
-                            col.value_ref(&symbols, r)
-                                .index_key()
-                                .expect("non-null cell has a key")
-                        });
-                        index.add_key(col_ref, r as u32, key);
-                    }
-                } else {
-                    for (r, v) in col.iter(&symbols).enumerate() {
-                        index.add(col_ref, r as u32, v);
+                let mut seen: HashSet<u64> = HashSet::new();
+                for r in 0..col.len() {
+                    if col.cell_identity(r).is_some_and(|id| seen.insert(id)) {
+                        index.add(ColumnRef::new(tid, c), col.value_ref(&symbols, r));
                     }
                 }
             }
@@ -541,7 +527,8 @@ pub struct MemoryReport {
     pub block_rows: usize,
     pub tables: Vec<TableMemory>,
     pub indexes: Vec<JoinIndexMemory>,
-    /// Approximate inverted keyword index bytes (cell keys and postings).
+    /// Approximate inverted keyword index bytes (cell keys and column
+    /// lists).
     pub keyword_index_bytes: usize,
     /// Approximate dictionary (interner) bytes, shared by every table.
     pub interner_bytes: usize,

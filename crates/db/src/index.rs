@@ -19,14 +19,14 @@
 //! column is … leveraging the inverted index provided in most DBMS systems."*
 //! Commercial systems expose full-text indexes; [`InvertedIndex`] is our own
 //! equivalent. The canonical form of each whole cell
-//! ([`crate::types::Value::index_key`]) maps to its postings, which answers
-//! the default equality semantics of a value constraint. Other constraints,
-//! `CONTAINS` among them, fall back to related-column search's early-exit
-//! scan.
+//! ([`crate::types::Value::index_key`]) maps to the columns that hold it,
+//! which answers the default equality semantics of a value constraint.
+//! Other constraints, `CONTAINS` among them, fall back to related-column
+//! search's early-exit scan.
 //!
-//! Postings are grouped per column because related-column discovery asks
-//! "which columns contain this keyword?" far more often than it needs the row
-//! lists themselves.
+//! Related-column discovery asks only "which columns contain this
+//! keyword?", so the index keeps column lists, not row ids, and
+//! [`crate::Database`] canonicalizes each distinct cell of a column once.
 
 use crate::column::Column;
 use crate::schema::ColumnRef;
@@ -184,17 +184,10 @@ fn build_header(keys: &[u64]) -> Vec<u32> {
     header
 }
 
-/// The rows of one column matching one key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Posting {
-    pub column: ColumnRef,
-    pub rows: Vec<u32>,
-}
-
-/// Keyword → postings map over an entire database.
+/// Keyword → columns map over an entire database.
 #[derive(Debug, Default)]
 pub struct InvertedIndex {
-    cells: HashMap<String, Vec<Posting>>,
+    cells: HashMap<String, Vec<ColumnRef>>,
 }
 
 impl InvertedIndex {
@@ -202,41 +195,36 @@ impl InvertedIndex {
         InvertedIndex::default()
     }
 
-    /// Index one cell. Called by [`crate::Database`] during preprocessing.
-    pub fn add(&mut self, column: ColumnRef, row: u32, value: ValueRef<'_>) {
+    /// Index one cell of `column`. [`crate::Database`] calls this once per
+    /// distinct cell of each column, column by column.
+    pub fn add(&mut self, column: ColumnRef, value: ValueRef<'_>) {
         let Some(key) = value.index_key() else {
             return; // NULLs are not indexed.
         };
-        self.add_key(column, row, &key);
+        let columns = self.cells.entry(key).or_default();
+        // Columns are indexed one after another, so this column, if
+        // present, is the last one.
+        if columns.last() != Some(&column) {
+            columns.push(column);
+        }
     }
 
-    /// Index one cell whose canonical key is already computed. Dictionary
-    /// columns canonicalize each distinct symbol once and call this per row.
-    pub fn add_key(&mut self, column: ColumnRef, row: u32, key: &str) {
-        push_posting(&mut self.cells, key, column, row);
-    }
-
-    /// Postings of cells whose canonical form equals `keyword`
+    /// The columns holding a cell whose canonical form equals `keyword`
     /// (case-insensitive for text, numeric-normalized for numbers).
-    pub fn lookup_cell(&self, keyword: &str) -> &[Posting] {
+    fn columns(&self, keyword: &str) -> &[ColumnRef] {
         self.cells
             .get(&normalize(keyword))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+            .map_or(&[], |c| c.as_slice())
     }
 
     /// Columns that contain `keyword` as an exact cell value.
     pub fn columns_with_cell(&self, keyword: &str) -> impl Iterator<Item = ColumnRef> + '_ {
-        self.lookup_cell(keyword).iter().map(|p| p.column)
+        self.columns(keyword).iter().copied()
     }
 
-    /// Rows of `column` whose cell equals `keyword`, if any.
-    pub fn rows_in_column(&self, column: ColumnRef, keyword: &str) -> &[u32] {
-        self.lookup_cell(keyword)
-            .iter()
-            .find(|p| p.column == column)
-            .map(|p| p.rows.as_slice())
-            .unwrap_or(&[])
+    /// Does `column` contain `keyword` as an exact cell value?
+    pub fn column_has_cell(&self, column: ColumnRef, keyword: &str) -> bool {
+        self.columns(keyword).contains(&column)
     }
 
     /// Number of distinct cell keys (diagnostics).
@@ -244,34 +232,17 @@ impl InvertedIndex {
         self.cells.len()
     }
 
-    /// Approximate heap bytes: the map's slots (key, posting list and
-    /// control byte each), then every key, posting list and row-id list
-    /// at its allocated capacity.
+    /// Approximate heap bytes: the map's slots (key, column list and
+    /// control byte each), then every key and column list at its
+    /// allocated capacity.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let slot = size_of::<String>() + size_of::<Vec<Posting>>() + 1;
-        let owned = self.cells.iter().map(|(key, postings)| {
-            let rows: usize = postings.iter().map(|p| p.rows.capacity()).sum();
-            key.capacity() + postings.capacity() * size_of::<Posting>() + rows * size_of::<u32>()
-        });
+        let slot = size_of::<String>() + size_of::<Vec<ColumnRef>>() + 1;
+        let owned = self
+            .cells
+            .iter()
+            .map(|(key, columns)| key.capacity() + columns.capacity() * size_of::<ColumnRef>());
         self.cells.capacity() * slot + owned.sum::<usize>()
-    }
-}
-
-fn push_posting(map: &mut HashMap<String, Vec<Posting>>, key: &str, column: ColumnRef, row: u32) {
-    // Avoid allocating an owned key on the (overwhelmingly common) hit path.
-    let postings = match map.get_mut(key) {
-        Some(p) => p,
-        None => map.entry(key.to_string()).or_default(),
-    };
-    // Cells are indexed in (table, column, row) order during preprocessing,
-    // so the posting for this column, if present, is the last one.
-    match postings.last_mut() {
-        Some(p) if p.column == column => p.rows.push(row),
-        _ => postings.push(Posting {
-            column,
-            rows: vec![row],
-        }),
     }
 }
 
@@ -290,53 +261,52 @@ mod tests {
 
     fn sample_index() -> InvertedIndex {
         let mut ix = InvertedIndex::new();
-        ix.add(col(0, 0), 0, ValueRef::Text("Lake Tahoe"));
-        ix.add(col(0, 0), 1, ValueRef::Text("Crater Lake"));
-        ix.add(col(0, 1), 0, ValueRef::Decimal(497.0));
-        ix.add(col(1, 0), 5, ValueRef::Text("Lake Tahoe"));
-        ix.add(col(1, 1), 2, ValueRef::Text("California"));
-        ix.add(col(0, 1), 1, ValueRef::Null);
+        ix.add(col(0, 0), ValueRef::Text("Lake Tahoe"));
+        ix.add(col(0, 0), ValueRef::Text("Crater Lake"));
+        ix.add(col(0, 0), ValueRef::Text("lake tahoe "));
+        ix.add(col(0, 1), ValueRef::Decimal(497.0));
+        ix.add(col(0, 1), ValueRef::Null);
+        ix.add(col(1, 0), ValueRef::Text("Lake Tahoe"));
+        ix.add(col(1, 1), ValueRef::Text("California"));
         ix
     }
 
     #[test]
     fn exact_cell_lookup_is_case_insensitive() {
         let ix = sample_index();
-        let posts = ix.lookup_cell("lake tahoe");
-        assert_eq!(posts.len(), 2);
-        assert_eq!(posts[0].column, col(0, 0));
-        assert_eq!(posts[0].rows, vec![0]);
-        assert_eq!(posts[1].column, col(1, 0));
-        assert_eq!(posts[1].rows, vec![5]);
-        assert_eq!(ix.lookup_cell("LAKE TAHOE").len(), 2);
+        let cols: Vec<_> = ix.columns_with_cell("lake tahoe").collect();
+        // Two spellings of one key in column (0, 0) list it once.
+        assert_eq!(cols, vec![col(0, 0), col(1, 0)]);
+        assert_eq!(ix.columns_with_cell("LAKE TAHOE").count(), 2);
     }
 
     #[test]
     fn numeric_cells_match_user_spelling() {
         let ix = sample_index();
-        let posts = ix.lookup_cell("497");
-        assert_eq!(posts.len(), 1);
-        assert_eq!(posts[0].column, col(0, 1));
+        let cols: Vec<_> = ix.columns_with_cell("497").collect();
+        assert_eq!(cols, vec![col(0, 1)]);
     }
 
     #[test]
     fn nulls_are_not_indexed() {
         let ix = sample_index();
-        assert!(ix.lookup_cell("NULL").is_empty());
-        assert!(ix.lookup_cell("null").is_empty());
+        assert_eq!(ix.columns_with_cell("NULL").count(), 0);
+        assert_eq!(ix.columns_with_cell("null").count(), 0);
+        assert_eq!(ix.distinct_keys(), 4);
     }
 
     #[test]
-    fn rows_in_column_narrows_to_one_column() {
+    fn column_has_cell_narrows_to_one_column() {
         let ix = sample_index();
-        assert_eq!(ix.rows_in_column(col(1, 0), "Lake Tahoe"), &[5]);
-        assert_eq!(ix.rows_in_column(col(1, 1), "Lake Tahoe"), &[] as &[u32]);
+        assert!(ix.column_has_cell(col(1, 0), "Lake Tahoe"));
+        assert!(!ix.column_has_cell(col(1, 1), "Lake Tahoe"));
     }
 
     #[test]
     fn missing_keyword_yields_empty() {
         let ix = sample_index();
-        assert!(ix.lookup_cell("atlantis").is_empty());
+        assert_eq!(ix.columns_with_cell("atlantis").count(), 0);
+        assert!(!ix.column_has_cell(col(0, 0), "atlantis"));
     }
 
     mod csr {

@@ -4,7 +4,7 @@
 //! three pieces of supporting machinery that its discovery algorithm relies
 //! on:
 //!
-//! 1. an **inverted index** mapping keywords to the `(table, column, row)`
+//! 1. an **inverted index** mapping keywords to the `(table, column)`
 //!    positions that contain them (Section 2.3: *"we validate a value
 //!    constraint on a column … leveraging the inverted index"*),
 //! 2. **column metadata collected during preprocessing** — data type, min/max
@@ -79,7 +79,7 @@ pub use exec::{
 };
 pub use faults::{FaultKind, FaultSite, FaultSpec};
 pub use graph::{EdgeId, JoinEdge, JoinTree, SchemaGraph};
-pub use index::{InvertedIndex, JoinIndex, Posting};
+pub use index::{InvertedIndex, JoinIndex};
 pub use interner::SymbolTable;
 pub use schema::{Catalog, ColumnDef, ColumnRef, ForeignKey, TableId, TableSchema};
 pub use sql::{canonical_key, render_sql};
