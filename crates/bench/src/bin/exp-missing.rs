@@ -19,11 +19,13 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(30);
-    // Report the full satisfying set, not the UI's capped list.
+    // Report the full satisfying set, not the UI's capped list, with one
+    // validation thread so that no column depends on the host's core count.
     let svc = DiscoveryService::new(
         Arc::new(mondial(42, 1)),
         DiscoveryConfig {
             result_limit: 100_000,
+            validation_threads: 1,
             ..DiscoveryConfig::default()
         },
     );

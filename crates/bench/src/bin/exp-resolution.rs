@@ -22,8 +22,12 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(40);
     // Experiments report the full satisfying set, not the UI's capped list.
+    // One validation thread, as in E3: the batch width of the greedy loop
+    // moves its validation count, so the default (the host's core count)
+    // would leak the host into the "avg validations" column.
     let config = DiscoveryConfig {
         result_limit: 100_000,
+        validation_threads: 1,
         ..DiscoveryConfig::default()
     };
 

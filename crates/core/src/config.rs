@@ -28,40 +28,17 @@ pub struct DiscoveryConfig {
     /// The greedy loop's batch width: filters validated per round, on
     /// that many pool workers (greedy schedulers only; `Naive` and
     /// `Oracle` are inherently sequential). `1` validates one filter per
-    /// round inline, with no pool. Defaults to the
-    /// `PRISM_VALIDATION_THREADS` environment variable when set, otherwise
-    /// to the machine's available parallelism.
+    /// round inline, with no pool. Defaults to the machine's available
+    /// parallelism.
     pub validation_threads: usize,
     /// Inert: no code reads it; kept so struct literals that set it compile.
     pub pipeline: bool,
     /// Deterministic fault injection for chaos testing ([`FaultSpec`]).
-    /// `None` (the default when `PRISM_FAULT` is unset) disables injection
-    /// entirely — the containment layer stays armed but costs one branch.
-    /// Set programmatically for per-session chaos, or via the environment:
-    /// `PRISM_FAULT=panic:0.01:seed42` fires an injected panic in ~1% of
-    /// injection-point visits, seeded so reruns fault identically.
+    /// `None` (the default) disables injection entirely — the containment
+    /// layer stays armed but costs one branch. `panic:0.01:seed42` fires an
+    /// injected panic in ~1% of validation slots, seeded so reruns fault
+    /// identically.
     pub faults: Option<FaultSpec>,
-}
-
-/// Resolve the default fault-injection spec from `PRISM_FAULT`. Unset,
-/// empty, or malformed values yield `None`: chaos is strictly opt-in and
-/// must never become load-bearing for a real deployment.
-pub fn default_faults() -> Option<FaultSpec> {
-    FaultSpec::from_env()
-}
-
-/// Resolve the default worker count: `PRISM_VALIDATION_THREADS` (CI runs
-/// the test suite under both `1` and `4`) beats detected parallelism.
-pub fn default_validation_threads() -> usize {
-    std::env::var("PRISM_VALIDATION_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
 }
 
 impl Default for DiscoveryConfig {
@@ -73,9 +50,9 @@ impl Default for DiscoveryConfig {
             time_budget: Duration::from_secs(60),
             result_limit: 64,
             scheduler: SchedulerKind::Bayes,
-            validation_threads: default_validation_threads(),
+            validation_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             pipeline: false,
-            faults: default_faults(),
+            faults: None,
         }
     }
 }
@@ -100,6 +77,7 @@ mod tests {
         assert_eq!(c.time_budget, Duration::from_secs(60));
         assert_eq!(c.max_tables, 4);
         assert_eq!(c.scheduler, SchedulerKind::Bayes);
+        assert!(c.faults.is_none(), "chaos is opt-in");
     }
 
     #[test]
@@ -111,10 +89,8 @@ mod tests {
 
     #[test]
     fn validation_threads_default_is_at_least_one() {
-        // Whatever the environment says (CI pins PRISM_VALIDATION_THREADS,
-        // dev machines fall back to detected parallelism), zero threads
-        // must be impossible.
+        // Detected parallelism may be unavailable; zero threads must still
+        // be impossible.
         assert!(DiscoveryConfig::default().validation_threads >= 1);
-        assert!(default_validation_threads() >= 1);
     }
 }

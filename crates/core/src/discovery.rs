@@ -112,7 +112,7 @@ pub struct DiscoveryStats {
     /// Candidate enumeration or filter decomposition was truncated.
     pub truncated: bool,
     /// Faults the injection layer fired (0 unless chaos is armed via
-    /// `PRISM_FAULT` / [`DiscoveryConfig::faults`]).
+    /// [`DiscoveryConfig::faults`]).
     pub faults_injected: u64,
     /// Transient-fault retries performed by guarded validation slots.
     pub fault_retries: u64,
@@ -188,11 +188,12 @@ pub(crate) fn run_round(
     threads: usize,
 ) -> DiscoveryResult {
     let start = Instant::now();
-    let deadline = start + config.time_budget;
+    // A budget too large to add to the clock (`Duration::MAX`) is no limit.
+    let deadline = start.checked_add(config.time_budget);
 
     // Step 1: related columns and candidate enumeration.
     let related = find_related(db, constraints, config);
-    let cand_set = enumerate_candidates(db, &related, config, Some(deadline));
+    let cand_set = enumerate_candidates(db, &related, config, deadline);
     let mut stats = DiscoveryStats {
         related_per_column: related.per_column.iter().map(Vec::len).collect(),
         candidates: cand_set.candidates.len(),
@@ -211,20 +212,14 @@ pub(crate) fn run_round(
     }
 
     // Step 2: filters and scheduling.
-    let fs = build_filters_with_cache(
-        db,
-        &cand_set.candidates,
-        constraints,
-        Some(deadline),
-        Some(plans),
-    );
+    let fs = build_filters_with_cache(db, &cand_set.candidates, constraints, deadline, Some(plans));
     stats.filters = fs.len();
     stats.truncated |= fs.truncated;
 
     // Greedy schedulers validate `threads` filters per round: one inline
     // at `threads == 1`, a batch on the worker pool otherwise.
     let ctx = SchedCtx::new(db, constraints, &fs)
-        .with_deadline(Some(deadline))
+        .with_deadline(deadline)
         .with_faults(config.faults.clone());
     let greedy = |model: &dyn crate::scheduler::FailureModel| {
         Scheduler::run(&ctx, Engine::Greedy { model, threads })
@@ -459,6 +454,33 @@ mod tests {
         let svc = service(mondial(42, 2), config);
         let result = run(&svc, &walkthrough_constraints());
         assert!(result.timed_out || result.queries.is_empty());
+    }
+
+    /// `Duration::MAX` asks for no limit. Adding it to the clock overflows,
+    /// which once panicked the round coordinator into an empty degraded
+    /// result.
+    #[test]
+    fn unbounded_time_budget_means_no_deadline() {
+        let db = Arc::new(mondial(42, 1));
+        let tc = walkthrough_constraints();
+        let ranked = |r: &DiscoveryResult| -> Vec<String> {
+            r.queries.iter().map(|q| q.key.clone()).collect()
+        };
+        for threads in [1, 4] {
+            let bounded = DiscoveryConfig {
+                validation_threads: threads,
+                ..DiscoveryConfig::default()
+            };
+            let unbounded = DiscoveryConfig {
+                time_budget: Duration::MAX,
+                ..bounded.clone()
+            };
+            let want = run(&DiscoveryService::new(Arc::clone(&db), bounded), &tc);
+            let got = run(&DiscoveryService::new(Arc::clone(&db), unbounded), &tc);
+            assert!(!got.timed_out, "{threads} threads");
+            assert!(!got.queries.is_empty(), "{threads} threads");
+            assert_eq!(ranked(&got), ranked(&want), "{threads} threads");
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! inputs: a user-supplied UDF that panics, a corrupt upload, a validation
 //! that never returns. This module is the discovery-side half of that
 //! promise — the seeded injection primitives live in [`prism_db::faults`]
-//! (re-exported here) because `prism_db` and `prism_lang` host two of the
-//! three injection sites; this crate adds the types that carry a fault from
-//! a validation slot up to the [`crate::discovery::DiscoveryResult`]:
+//! (re-exported here); this crate hosts their one injection site, the
+//! validation slot, and adds the types that carry a fault from a slot up to
+//! the [`crate::discovery::DiscoveryResult`]:
 //!
 //! * [`SlotVerdict`] — what one validation slot produced: a verdict, a
 //!   skip (cancelled/abandoned, unknown), or a contained fault;
@@ -14,14 +14,13 @@
 //! * [`FaultReport`] — the user-facing record on a degraded result,
 //!   naming the filter (as SQL) and the candidates it abandoned.
 //!
-//! Injection is configured with `PRISM_FAULT=<kind>:<rate>:seed<N>` (see
-//! [`FaultSpec`]) or programmatically via
-//! [`crate::config::DiscoveryConfig::faults`]. The containment layer is
-//! always on; injection is opt-in and zero-cost when absent.
+//! Injection is armed per round through
+//! [`crate::config::DiscoveryConfig::faults`] with a
+//! `<kind>:<rate>:seed<N>` spec (see [`FaultSpec`]). The containment layer
+//! is always on; injection is opt-in and zero-cost when absent.
 
 pub use prism_db::faults::{
-    attempt_token, delay_steps, env_spec, injected_panic, name_token, FaultKind, FaultSite,
-    FaultSpec,
+    attempt_token, delay_steps, injected_panic, FaultKind, FaultSite, FaultSpec,
 };
 
 /// Why a validation slot faulted.

@@ -53,7 +53,7 @@ pub mod session;
 pub mod validate;
 
 pub use candidates::Candidate;
-pub use config::{default_faults, default_validation_threads, DiscoveryConfig};
+pub use config::DiscoveryConfig;
 pub use constraints::TargetConstraints;
 pub use discovery::{DiscoveredQuery, DiscoveryResult, DiscoveryStats};
 pub use error::Error;

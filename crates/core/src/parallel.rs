@@ -222,7 +222,9 @@ impl BatchRunner<'_> {
                     if !self.cancel.is_cancelled() && now >= d {
                         self.cancel.cancel();
                     }
-                    if now >= d + ABANDON_GRACE {
+                    if d.checked_add(ABANDON_GRACE)
+                        .is_some_and(|give_up| now >= give_up)
+                    {
                         g.abandoned = true;
                         g.pending = 0;
                         g.rounds_abandoned += 1;

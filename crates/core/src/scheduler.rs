@@ -361,8 +361,7 @@ pub struct ScheduleOutcome {
     /// True if the deadline expired before every candidate was classified.
     pub timed_out: bool,
     /// Faults the injection layer fired across this run's validation
-    /// slots (0 unless `PRISM_FAULT` / [`SchedCtx::faults`] armed
-    /// injection).
+    /// slots (0 unless [`SchedCtx::faults`] armed injection).
     pub faults_injected: u64,
     /// Transient-fault retries performed by guarded validation slots.
     pub fault_retries: u64,

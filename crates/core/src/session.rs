@@ -135,9 +135,9 @@ impl SessionHandle {
     /// service under the session's engine configuration, and stores the
     /// Result section.
     ///
-    /// A faulting filter (a panicking UDF, an injected fault under
-    /// `PRISM_FAULT`) does not abort the search: its candidates are
-    /// abandoned, the Result section comes back with
+    /// A faulting filter (a panicking UDF, or an injected fault armed by
+    /// [`crate::DiscoveryConfig::faults`]) does not abort the search: its
+    /// candidates are abandoned, the Result section comes back with
     /// [`DiscoveryResult::degraded`] set and a fault report per affected
     /// filter, and every query listed is still fully validated
     /// ([`DiscoveryResult::degradation_notice`] renders the banner). A

@@ -22,13 +22,15 @@
 //!   instead of finishing a long scan (the executor's cooperative
 //!   cancellation).
 //!
-//! The final test is CI's chaos leg: with `PRISM_FAULT` set in the
-//! environment it sweeps generated tasks until the injector demonstrably
-//! fires, asserting soundness throughout (and is a no-op when unset).
+//! The final test arms `panic:0.02:seed7` at 4 threads and sweeps
+//! generated tasks until the injector demonstrably fires, asserting
+//! soundness throughout.
+
+#[path = "support/task_session.rs"]
+mod task_session;
 
 use prism_core::{
-    default_faults, DiscoveryConfig, DiscoveryResult, DiscoveryService, FaultSpec, SessionConfig,
-    SessionHandle,
+    DiscoveryConfig, DiscoveryResult, DiscoveryService, FaultSpec, SessionConfig, SessionHandle,
 };
 use prism_datasets::{mondial, MappingTask, Resolution, TaskGenConfig, TaskGenerator};
 use prism_db::Database;
@@ -36,6 +38,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+use task_session::task_session;
 
 fn fixture() -> &'static Arc<Database> {
     static DB: OnceLock<Arc<Database>> = OnceLock::new();
@@ -43,8 +46,7 @@ fn fixture() -> &'static Arc<Database> {
 }
 
 /// A discovery config that is deterministic under test: chaos comes only
-/// from the explicit `faults` argument, never from the ambient
-/// `PRISM_FAULT` (CI's chaos leg sets it process-wide).
+/// from the explicit `faults` argument.
 fn config(threads: usize, faults: Option<FaultSpec>) -> DiscoveryConfig {
     DiscoveryConfig {
         validation_threads: threads,
@@ -318,18 +320,14 @@ fn near_zero_deadline_returns_promptly() {
     }
 }
 
-/// CI's chaos leg: `PRISM_FAULT=panic:0.02:seed7 PRISM_VALIDATION_THREADS=4`
-/// runs exactly this test. It inherits the ambient spec through
-/// [`DiscoveryConfig::default`] and sweeps generated mapping tasks until
-/// the injector demonstrably fires (site tokens are filter indices, so
-/// larger tasks reach deeper into the seeded fault stream), asserting
-/// every chaotic accept set stays a subset of its own fault-free baseline.
-/// Without `PRISM_FAULT` in the environment it is a no-op.
+/// A low-rate seeded chaos smoke at 4 threads: it sweeps generated mapping
+/// tasks until the injector demonstrably fires (site tokens are filter
+/// indices, so larger tasks reach deeper into the seeded fault stream),
+/// asserting every chaotic accept set stays a subset of its own fault-free
+/// baseline.
 #[test]
 fn env_chaos_smoke_injects_and_stays_sound() {
-    if default_faults().is_none() {
-        return;
-    }
+    let chaos = FaultSpec::parse("panic:0.02:seed7").unwrap();
     let taskgen = TaskGenerator::new(fixture(), TaskGenConfig::default());
     let mut injected_total = 0u64;
     'outer: for seed in 0..40u64 {
@@ -341,13 +339,13 @@ fn env_chaos_smoke_injects_and_stays_sound() {
             Resolution::Metadata,
         ] {
             for task in taskgen.generate_many(resolution, 1, &mut rng) {
-                let chaotic = run_task(&task, DiscoveryConfig::default());
+                let chaotic = run_task(&task, config(4, Some(chaos.clone())));
                 let clean = run_task(&task, config(4, None));
                 assert!(!clean.degraded, "{:?}", clean.fault_reports);
                 assert_no_coordinator_fault(&chaotic);
                 assert!(
                     is_subset(&keys(&chaotic), &keys(&clean)),
-                    "env chaos accepted a query the clean run does not ({resolution:?}/{seed})"
+                    "chaos accepted a query the clean run does not ({resolution:?}/{seed})"
                 );
                 assert_eq!(chaotic.degraded, !chaotic.fault_reports.is_empty());
                 injected_total += chaotic.stats.faults_injected;
@@ -359,28 +357,20 @@ fn env_chaos_smoke_injects_and_stays_sound() {
     }
     assert!(
         injected_total > 0,
-        "PRISM_FAULT is set but no fault ever fired across the sweep"
+        "chaos is armed but no fault ever fired across the sweep"
     );
 }
 
 fn run_task(task: &MappingTask, config: DiscoveryConfig) -> DiscoveryResult {
-    let mut session = open_session(SessionConfig {
-        target_columns: task.column_count,
-        sample_rows: task.samples.len(),
-        with_metadata: true,
-        discovery: config,
-    });
-    for (r, row) in task.samples.iter().enumerate() {
-        for (c, cell) in row.iter().enumerate() {
-            if let Some(text) = cell {
-                session.set_sample_cell(r, c, text.clone()).unwrap();
-            }
-        }
-    }
-    for (c, meta) in task.metadata.iter().enumerate() {
-        if let Some(text) = meta {
-            session.set_metadata_cell(c, text.clone()).unwrap();
-        }
-    }
-    session.start_searching().unwrap().clone()
+    let svc = DiscoveryService::new(Arc::clone(fixture()), config.clone());
+    task_session(
+        &svc,
+        task.column_count,
+        &task.samples,
+        &task.metadata,
+        config,
+    )
+    .start_searching()
+    .unwrap()
+    .clone()
 }

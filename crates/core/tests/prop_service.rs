@@ -6,14 +6,18 @@
 //! work-stealing pool at 2/4/8 threads accepts exactly the 1-thread
 //! (sequential-loop) set.
 
+#[path = "support/task_session.rs"]
+mod task_session;
+
 use prism_core::scheduler::SchedulerKind;
-use prism_core::{DiscoveryConfig, DiscoveryService, SessionConfig, SessionHandle};
+use prism_core::{DiscoveryConfig, DiscoveryService, SessionHandle};
 use prism_datasets::{mondial, MappingTask, Resolution, TaskGenConfig, TaskGenerator};
 use prism_db::Database;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, OnceLock};
+use task_session::task_session;
 
 /// The walkthrough database, built once and shared by every service the
 /// properties stand up: the point is many services/sessions over ONE
@@ -36,26 +40,14 @@ fn engine_config(threads: usize) -> DiscoveryConfig {
 }
 
 /// Session shaped like the generated task's constraint grid.
-fn task_session(svc: &DiscoveryService, task: &MappingTask, threads: usize) -> SessionHandle {
-    let mut session = svc.open_session(SessionConfig {
-        target_columns: task.column_count,
-        sample_rows: task.samples.len(),
-        with_metadata: true,
-        discovery: engine_config(threads),
-    });
-    for (r, row) in task.samples.iter().enumerate() {
-        for (c, cell) in row.iter().enumerate() {
-            if let Some(text) = cell {
-                session.set_sample_cell(r, c, text.clone()).unwrap();
-            }
-        }
-    }
-    for (c, meta) in task.metadata.iter().enumerate() {
-        if let Some(text) = meta {
-            session.set_metadata_cell(c, text.clone()).unwrap();
-        }
-    }
-    session
+fn session_for(svc: &DiscoveryService, task: &MappingTask, threads: usize) -> SessionHandle {
+    task_session(
+        svc,
+        task.column_count,
+        &task.samples,
+        &task.metadata,
+        engine_config(threads),
+    )
 }
 
 /// Sorted result keys of the last round — the accept set, order-blind.
@@ -95,7 +87,7 @@ proptest! {
         for task in &generate_task(seed, resolution) {
             // Reference: one session, one thread, its own service.
             let seq_svc = DiscoveryService::new(Arc::clone(db()), engine_config(1));
-            let mut reference = task_session(&seq_svc, task, 1);
+            let mut reference = session_for(&seq_svc, task, 1);
             reference.start_searching().unwrap();
             let expected = accept_set(&reference);
 
@@ -103,7 +95,7 @@ proptest! {
             // (shared plan cache, shared thread budget, shared database).
             let svc = DiscoveryService::new(Arc::clone(db()), engine_config(4));
             let handles: Vec<SessionHandle> = (0..SESSIONS)
-                .map(|_| task_session(&svc, task, 2))
+                .map(|_| session_for(&svc, task, 2))
                 .collect();
             let accepted: Vec<Vec<String>> = std::thread::scope(|scope| {
                 let joins: Vec<_> = handles
@@ -142,11 +134,11 @@ proptest! {
             // leases a different worker count, so the same shared plan
             // cache serves the sequential loop and every stealing pool.
             let svc = DiscoveryService::with_thread_budget(Arc::clone(db()), engine_config(1), 8);
-            let mut reference = task_session(&svc, task, 1);
+            let mut reference = session_for(&svc, task, 1);
             reference.start_searching().unwrap();
             let expected = accept_set(&reference);
             for threads in [2usize, 4, 8] {
-                let mut session = task_session(&svc, task, threads);
+                let mut session = session_for(&svc, task, threads);
                 session.start_searching().unwrap();
                 prop_assert_eq!(
                     accept_set(&session), expected.clone(),

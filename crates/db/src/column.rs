@@ -31,8 +31,8 @@
 //! ## Block zone maps
 //!
 //! When a database freezes, every column is partitioned into fixed-size row
-//! blocks ([`crate::Database::block_rows`], `PRISM_BLOCK_ROWS`) and one
-//! [`BlockMeta`] is computed per block: min/max over the non-NULL values for
+//! blocks ([`crate::Database::block_rows`]) and one [`BlockMeta`] is
+//! computed per block: min/max over the non-NULL values for
 //! `Int`/`Decimal` columns (NaN tracked separately so bit-equality key
 //! probes stay sound), and the code range plus a 64-bit code fingerprint for
 //! dictionary columns. The executor consults these through

@@ -34,7 +34,6 @@
 use crate::batch::ColumnBatch;
 use crate::database::DatabaseBuilder;
 use crate::error::DbError;
-use crate::faults::{self, FaultKind, FaultSite, FaultSpec};
 use crate::schema::{ColumnDef, TableId};
 use crate::types::{DataType, Date, Time, Value};
 use std::ops::Range;
@@ -457,41 +456,21 @@ fn parse_chunk(chunk: &str, start_row: usize, dtypes: &[DataType]) -> ChunkOutco
     }
 }
 
-/// Fault-isolated wrapper around [`parse_chunk`]: a panicking worker (real
-/// bug or injected chaos) is caught and retried once — an injected
-/// transient clears on the attempt-salted re-roll, a genuine bug repeats
-/// and surfaces as [`DbError::IngestPanic`] naming the chunk's first row.
-/// The builder is untouched either way, so a failed ingest leaves no
-/// partial table behind.
+/// Fault-isolated wrapper around [`parse_chunk`]: a panicking worker is
+/// caught and surfaces as [`DbError::IngestPanic`] naming the chunk's
+/// first row. Parsing is deterministic, so a retry could only repeat the
+/// panic. The builder is untouched, so a failed ingest leaves no partial
+/// table behind.
 fn parse_chunk_guarded(
     chunk: &str,
     start_row: usize,
     dtypes: &[DataType],
-    inj: Option<&FaultSpec>,
 ) -> Result<ChunkOutcome, DbError> {
-    let mut last_panic = String::new();
-    for attempt in 0..2u32 {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(spec) = inj {
-                let token = faults::attempt_token(start_row as u64, attempt);
-                match spec.check(FaultSite::CsvChunk, token) {
-                    Some(FaultKind::Panic) | Some(FaultKind::Transient) => {
-                        faults::injected_panic(FaultSite::CsvChunk, token)
-                    }
-                    Some(FaultKind::Delay) => faults::delay_steps(4096),
-                    None => {}
-                }
-            }
-            parse_chunk(chunk, start_row, dtypes)
-        }));
-        match result {
-            Ok(outcome) => return Ok(outcome),
-            Err(payload) => last_panic = panic_message(&payload),
+    catch_unwind(AssertUnwindSafe(|| parse_chunk(chunk, start_row, dtypes))).map_err(|payload| {
+        DbError::IngestPanic {
+            chunk_row: start_row,
+            message: panic_message(&*payload),
         }
-    }
-    Err(DbError::IngestPanic {
-        chunk_row: start_row,
-        message: last_panic,
     })
 }
 
@@ -756,13 +735,12 @@ impl DatabaseBuilder {
 
         // Parse rounds: conflicts fold into wider types and restart; the
         // demotion ladder (Int → Decimal → Text) bounds this at 3 rounds.
-        let inj = faults::env_spec();
         let (outcomes, used_threads) = loop {
             let chunks = split_chunks(bytes, data_start, threads);
             let outcomes: Vec<ChunkOutcome> = if chunks.len() <= 1 {
                 chunks
                     .into_iter()
-                    .map(|(r, sr)| parse_chunk_guarded(&text[r], sr, &dtypes, inj))
+                    .map(|(r, sr)| parse_chunk_guarded(&text[r], sr, &dtypes))
                     .collect::<Result<_, DbError>>()?
             } else {
                 let dt: &[DataType] = &dtypes;
@@ -771,7 +749,7 @@ impl DatabaseBuilder {
                         .iter()
                         .map(|(r, sr)| {
                             let (r, sr) = (r.clone(), *sr);
-                            s.spawn(move || parse_chunk_guarded(&text[r], sr, dt, inj))
+                            s.spawn(move || parse_chunk_guarded(&text[r], sr, dt))
                         })
                         .collect();
                     handles

@@ -39,24 +39,14 @@ impl ColumnDef {
     }
 }
 
-/// Default rows per zone-map block when neither
-/// [`DatabaseBuilder::with_block_rows`] nor `PRISM_BLOCK_ROWS` overrides it.
+/// Default rows per zone-map block unless
+/// [`DatabaseBuilder::with_block_rows`] overrides it.
 pub const DEFAULT_BLOCK_ROWS: usize = 1024;
 
 /// Bounds on configurable block sizes: tiny blocks drown the data in
 /// metadata, huge ones never prune.
 const MIN_BLOCK_ROWS: usize = 16;
 const MAX_BLOCK_ROWS: usize = 1 << 22;
-
-/// Rows per block from the `PRISM_BLOCK_ROWS` environment variable,
-/// clamped to sane bounds; the default when unset or unparsable.
-fn env_block_rows() -> usize {
-    std::env::var("PRISM_BLOCK_ROWS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .map(|n| n.clamp(MIN_BLOCK_ROWS, MAX_BLOCK_ROWS))
-        .unwrap_or(DEFAULT_BLOCK_ROWS)
-}
 
 /// Incrementally assembles a [`Database`].
 #[derive(Debug, Default)]
@@ -87,7 +77,7 @@ impl DatabaseBuilder {
     /// (a late [`DatabaseBuilder::with_block_rows`]), the freeze falls back
     /// to a full re-scan — correctness never depends on the hint.
     fn resolved_block_rows(&self) -> usize {
-        self.block_rows.unwrap_or_else(env_block_rows)
+        self.block_rows.unwrap_or(DEFAULT_BLOCK_ROWS)
     }
 
     /// Mutable ingest accounting (the CSV ingest path updates it).
@@ -96,9 +86,8 @@ impl DatabaseBuilder {
     }
 
     /// Override the zone-map block size for this database (rows per block,
-    /// clamped to sane bounds). Defaults to the `PRISM_BLOCK_ROWS`
-    /// environment variable, else [`DEFAULT_BLOCK_ROWS`]. Tests use this to
-    /// exercise many-block layouts without touching process environment.
+    /// clamped to sane bounds). Defaults to [`DEFAULT_BLOCK_ROWS`]. Tests
+    /// use this to exercise many-block layouts.
     pub fn with_block_rows(mut self, rows: usize) -> DatabaseBuilder {
         self.block_rows = Some(rows.clamp(MIN_BLOCK_ROWS, MAX_BLOCK_ROWS));
         self
@@ -204,7 +193,7 @@ impl DatabaseBuilder {
 
         // Partition every column into fixed-size blocks and compute zone
         // maps; the executor prunes against them (see `column` module docs).
-        let block_rows = block_rows.unwrap_or_else(env_block_rows);
+        let block_rows = block_rows.unwrap_or(DEFAULT_BLOCK_ROWS);
         for t in &mut tables {
             t.freeze_blocks(block_rows);
         }
@@ -409,7 +398,7 @@ impl Database {
     }
 
     /// Rows per zone-map block, fixed when the database was built
-    /// (`PRISM_BLOCK_ROWS` / [`DatabaseBuilder::with_block_rows`]).
+    /// ([`DatabaseBuilder::with_block_rows`], else [`DEFAULT_BLOCK_ROWS`]).
     pub fn block_rows(&self) -> usize {
         self.block_rows
     }

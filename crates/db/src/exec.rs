@@ -224,31 +224,21 @@ impl std::ops::AddAssign<&ExecStats> for ExecStats {
 
 /// Join-order planning mode for [`PjQuery::prepare_with`].
 ///
-/// `Cost` (the default) orders join nodes by ascending estimated fan-out —
-/// start at the most selective scan, expand cheapest-first — using
-/// `StatsStore` distinct counts, CSR per-key run lengths, and numeric-hull
-/// selectivity, and sorts each node's residual predicates most-selective /
-/// cheapest first. `Fixed` is the pre-cost escape hatch: declaration-order
-/// BFS from the most-predicated node, predicates in declaration order, no
-/// adaptive recompiles. Both modes enumerate identical rows; only the visit
-/// order (and therefore rows examined) differs.
+/// `Cost` (what [`PjQuery::prepare`] uses) orders join nodes by ascending
+/// estimated fan-out — start at the most selective scan, expand
+/// cheapest-first — using `StatsStore` distinct counts, CSR per-key run
+/// lengths, and numeric-hull selectivity, and sorts each node's residual
+/// predicates most-selective / cheapest first. `Fixed` is the pre-cost
+/// planner, kept as a test oracle: declaration-order BFS from the
+/// most-predicated node, predicates in declaration order, no adaptive
+/// recompiles. Both modes enumerate identical rows; only the visit order
+/// (and therefore rows examined) differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinOrder {
-    /// Declaration-order planning (legacy behavior).
+    /// Declaration-order planning (the pre-cost planner).
     Fixed,
-    /// Cardinality-guided planning (default).
+    /// Cardinality-guided planning (what discovery uses).
     Cost,
-}
-
-impl JoinOrder {
-    /// Reads `PRISM_JOIN_ORDER` (`fixed` | `cost`); anything else — or an
-    /// unset variable — means `Cost`.
-    pub fn from_env() -> JoinOrder {
-        match std::env::var("PRISM_JOIN_ORDER") {
-            Ok(v) if v.eq_ignore_ascii_case("fixed") => JoinOrder::Fixed,
-            _ => JoinOrder::Cost,
-        }
-    }
 }
 
 /// An equi-join condition between two node slots of a [`PjQuery`].
@@ -361,11 +351,10 @@ impl PjQuery {
     /// cached and shared across threads, but is only meaningful against the
     /// database it was prepared for.
     pub fn prepare(&self, db: &Database, preds: &[ProjPred<'_>]) -> Result<PreparedQuery, DbError> {
-        self.prepare_with(db, preds, JoinOrder::from_env())
+        self.prepare_with(db, preds, JoinOrder::Cost)
     }
 
-    /// [`PjQuery::prepare`] with an explicit join-order mode, bypassing the
-    /// `PRISM_JOIN_ORDER` environment knob. Benchmarks and property tests
+    /// [`PjQuery::prepare`] with an explicit join-order mode. Property tests
     /// use this to compare cost-ordered and declaration-ordered plans over
     /// the same query.
     pub fn prepare_with(
@@ -552,7 +541,7 @@ impl PreparedQuery {
     fn active_plan(&self, db: &Database, preds: &[ProjPred<'_>], stats: &mut ExecStats) -> &Plan {
         use std::sync::atomic::Ordering::Relaxed;
         if self.plan.mode != JoinOrder::Cost {
-            return &self.plan; // Fixed mode is a full escape hatch
+            return &self.plan; // Fixed plans never recompile
         }
         // Generation = replans compiled so far; slots fill strictly in
         // order, so the active plan is the last filled slot.
@@ -859,7 +848,7 @@ struct Plan {
     /// Local predicates per node slot: (column, projection slot index).
     local_preds: Vec<Vec<(u32, usize)>>,
     /// Planning mode this plan was built under; the adaptive guard only
-    /// arms for `Cost` plans (`Fixed` is a full escape hatch).
+    /// arms for `Cost` plans (`Fixed` plans never recompile).
     mode: JoinOrder,
     /// Estimated rows one full enumeration examines — the guard's baseline
     /// and the numerator feed of [`ExecStats::rows_estimated`].

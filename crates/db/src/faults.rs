@@ -1,31 +1,29 @@
 //! Deterministic fault injection for chaos testing.
 //!
 //! The discovery stack promises to *degrade*, not die, when a filter
-//! validation panics, a UDF misbehaves, or a CSV chunk parser hits a bug.
-//! Exercising those paths needs faults that are **seeded and reproducible**:
-//! the same spec must fire at the same sites regardless of thread count or
-//! interleaving. This module provides that primitive.
+//! validation panics. Exercising that path needs faults that are **seeded
+//! and reproducible**: the same spec must fire at the same slots regardless
+//! of thread count or interleaving. This module provides that primitive.
 //!
-//! A spec is parsed from `PRISM_FAULT` (or passed programmatically through
-//! `DiscoveryConfig` in `prism_core`):
+//! A spec is parsed with [`FaultSpec::parse`] and armed per round through
+//! `DiscoveryConfig::faults` in `prism_core`:
 //!
 //! ```text
-//! PRISM_FAULT=panic:0.01:seed42            # one kind
-//! PRISM_FAULT=panic:0.01:seed42,delay:0.1:seed7   # several, comma-separated
+//! panic:0.01:seed42                   # one kind
+//! panic:0.01:seed42,delay:0.1:seed7   # several, comma-separated
 //! ```
 //!
-//! Each injection *site* carries a stable token — a filter index, a chunk's
-//! starting row, a UDF name hash — and the decision is a pure function of
-//! `(seed, site, token)`: a splitmix64-style hash compared against
-//! `rate * 2^64`. Thread scheduling cannot change which faults fire.
-//! Retries salt the token with the attempt number, so an injected
-//! *transient* fault can succeed on retry while a real bug keeps failing.
+//! Each injection *site* carries a stable token (a validation slot's filter
+//! index), and the decision is a pure function of `(seed, site, token)`: a
+//! splitmix64-style hash compared against `rate * 2^64`. Thread scheduling
+//! cannot change which faults fire. Retries salt the token with the attempt
+//! number, so an injected *transient* fault can succeed on retry while a
+//! real bug keeps failing.
 //!
 //! When no spec is configured the per-site check is a single `is_none()`
 //! branch — the layer is free when disabled.
 
 use std::fmt;
-use std::sync::OnceLock;
 
 /// What an injected fault does at its site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,25 +57,19 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// Where in the stack a fault may be injected. Each site hashes with a
-/// distinct tag so one seed produces independent streams per site.
+/// Where in the stack a fault may be injected. The site's tag is hashed
+/// into every decision, so a seed's fault stream is tied to its site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// Inside user-defined-function evaluation (`prism_lang`).
-    UdfEval,
     /// Inside one validation slot, inline or on the worker pool
     /// (`prism_core`).
     ValidationSlot,
-    /// Inside one CSV chunk parse (`prism_db::csv`).
-    CsvChunk,
 }
 
 impl FaultSite {
     fn tag(self) -> u64 {
         match self {
-            FaultSite::UdfEval => 0x9d5c_f3a1,
             FaultSite::ValidationSlot => 0x51ce_22b7,
-            FaultSite::CsvChunk => 0x05cc_41d9,
         }
     }
 }
@@ -91,7 +83,7 @@ struct FaultEntry {
     seed: u64,
 }
 
-/// A parsed `PRISM_FAULT` specification: zero or more injection clauses.
+/// A parsed fault specification: zero or more injection clauses.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultSpec {
     entries: Vec<FaultEntry>,
@@ -155,17 +147,6 @@ impl FaultSpec {
         Ok(FaultSpec { entries })
     }
 
-    /// Parse the `PRISM_FAULT` environment variable; `None` when unset,
-    /// empty, or malformed (malformed specs are ignored rather than
-    /// aborting ingest — chaos is opt-in, never load-bearing).
-    pub fn from_env() -> Option<FaultSpec> {
-        let raw = std::env::var("PRISM_FAULT").ok()?;
-        match FaultSpec::parse(&raw) {
-            Ok(spec) if !spec.entries.is_empty() => Some(spec),
-            _ => None,
-        }
-    }
-
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -181,14 +162,6 @@ impl FaultSpec {
         }
         None
     }
-}
-
-/// The process-wide spec from `PRISM_FAULT`, read once. Sites that have no
-/// config plumbing (UDF eval, CSV chunks) consult this; `prism_core` sites
-/// prefer the spec on `DiscoveryConfig` (which defaults from this).
-pub fn env_spec() -> Option<&'static FaultSpec> {
-    static SPEC: OnceLock<Option<FaultSpec>> = OnceLock::new();
-    SPEC.get_or_init(FaultSpec::from_env).as_ref()
 }
 
 /// Burn a bounded number of virtual steps for a `Delay` fault. Wall-clock
@@ -208,16 +181,6 @@ pub fn delay_steps(steps: u32) {
 /// containment layers can label them distinctly from organic bugs.
 pub fn injected_panic(site: FaultSite, token: u64) -> ! {
     panic!("injected fault at {site:?} (token {token:#x})")
-}
-
-/// FNV-1a over a string, for sites keyed by a name rather than an index.
-pub fn name_token(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -269,30 +232,18 @@ mod tests {
         let a = FaultSpec::parse("panic:0.3:seed1").unwrap();
         let b = FaultSpec::parse("panic:0.3:seed2").unwrap();
         let hits_a: Vec<u64> = (0..256)
-            .filter(|&t| a.check(FaultSite::CsvChunk, t).is_some())
+            .filter(|&t| a.check(FaultSite::ValidationSlot, t).is_some())
             .collect();
         let again: Vec<u64> = (0..256)
-            .filter(|&t| a.check(FaultSite::CsvChunk, t).is_some())
+            .filter(|&t| a.check(FaultSite::ValidationSlot, t).is_some())
             .collect();
         assert_eq!(hits_a, again);
         let hits_b: Vec<u64> = (0..256)
-            .filter(|&t| b.check(FaultSite::CsvChunk, t).is_some())
+            .filter(|&t| b.check(FaultSite::ValidationSlot, t).is_some())
             .collect();
         assert_ne!(hits_a, hits_b);
         // Rate ≈ 0.3 over 256 tokens should land in a broad band.
         assert!(hits_a.len() > 40 && hits_a.len() < 140);
-    }
-
-    #[test]
-    fn sites_draw_independent_streams() {
-        let s = FaultSpec::parse("panic:0.5:seed9").unwrap();
-        let slot: Vec<bool> = (0..128)
-            .map(|t| s.check(FaultSite::ValidationSlot, t).is_some())
-            .collect();
-        let udf: Vec<bool> = (0..128)
-            .map(|t| s.check(FaultSite::UdfEval, t).is_some())
-            .collect();
-        assert_ne!(slot, udf);
     }
 
     #[test]
@@ -307,11 +258,5 @@ mod tests {
                     .is_none()
         });
         assert!(recovered);
-    }
-
-    #[test]
-    fn name_token_distinguishes_names() {
-        assert_ne!(name_token("is_zip"), name_token("is_zap"));
-        assert_eq!(name_token("same"), name_token("same"));
     }
 }

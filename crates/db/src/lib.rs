@@ -37,9 +37,9 @@
 //! full join-key contract.
 //!
 //! At freeze, every column is partitioned into fixed-size row blocks with
-//! per-block zone maps ([`BlockMeta`]; `PRISM_BLOCK_ROWS` or
-//! [`DatabaseBuilder::with_block_rows`]), which the executor uses to skip
-//! provably-empty blocks during scans ([`ScanPred`] range hints,
+//! per-block zone maps ([`BlockMeta`]; [`DEFAULT_BLOCK_ROWS`] rows unless
+//! [`DatabaseBuilder::with_block_rows`] sets another size), which the
+//! executor uses to skip provably-empty blocks during scans ([`ScanPred`] range hints,
 //! [`ExecStats::blocks_skipped`]); join indexes are CSR-shaped
 //! ([`JoinIndex`]: sorted keys + offsets + row arena), and
 //! [`Database::memory_report`] audits both exactly and estimates the keyword index.

@@ -6,11 +6,15 @@
 //! separators of one, two and more keys all occur. Dictionary and
 //! range-hinted predicates make deep sub-searches fail. At 64- and
 //! 1024-row blocks and under both join orders, every run's rows (as a
-//! multiset), existence verdict and capped count must equal a nested-loop
-//! evaluator written here, which uses no index, plan, zone map or memo.
-//! The hub-skewed cases must also hit the executor's nogood memo, so the
-//! comparison covers memoized searches and is not vacuous.
+//! multiset), existence verdict and capped count must equal the nested-loop
+//! evaluator of `support/nested_loop.rs`, which uses no index, plan, zone
+//! map or memo. The hub-skewed cases must also hit the executor's nogood
+//! memo, so the comparison covers memoized searches and is not vacuous.
 
+#[path = "support/nested_loop.rs"]
+mod nested_loop;
+
+use nested_loop::{for_each_match, SlotPred};
 use prism_db::schema::ColumnDef;
 use prism_db::types::{DataType, Value, ValueRef};
 use prism_db::{
@@ -232,51 +236,27 @@ fn predicates(case: &Case, q: &PjQuery) -> Vec<Option<Pred>> {
         .collect()
 }
 
-/// The reference: nested loops over the tables in declaration order,
-/// testing each join condition once both endpoints are bound and each
-/// predicate once its node is bound. NULL never equi-joins.
+/// Every result row of `q` over `cells` under `preds`, projected and
+/// sorted: the nested-loop reference's answer.
 fn nested_loop(cells: &[Vec<Vec<Value>>], q: &PjQuery, preds: &[ProjPred<'_>]) -> Vec<Vec<Value>> {
-    fn extend(
-        i: usize,
-        at: &mut Vec<usize>,
-        cells: &[Vec<Vec<Value>>],
-        q: &PjQuery,
-        preds: &[ProjPred<'_>],
-        out: &mut Vec<Vec<Value>>,
-    ) {
-        if i == cells.len() {
-            out.push(
-                q.projection
-                    .iter()
-                    .map(|&(node, col)| cells[node][at[node]][col as usize].clone())
-                    .collect(),
-            );
-            return;
-        }
-        for row in 0..cells[i].len() {
-            at[i] = row;
-            let cell = |node: usize, col: u32| &cells[node][at[node]][col as usize];
-            let joins_hold = q
-                .joins
-                .iter()
-                .filter(|j| j.left_node.max(j.right_node) == i)
-                .all(|j| {
-                    let (l, r) = (
-                        cell(j.left_node, j.left_col),
-                        cell(j.right_node, j.right_col),
-                    );
-                    !l.is_null() && l == r
-                });
-            let preds_hold = q.projection.iter().zip(preds).all(|(&(node, col), p)| {
-                node != i || p.is_none_or(|p| p.matches(cell(node, col).as_value_ref()))
-            });
-            if joins_hold && preds_hold {
-                extend(i + 1, at, cells, q, preds, out);
-            }
-        }
-    }
+    let tests: Vec<SlotPred<'_>> = preds
+        .iter()
+        .map(|p| -> SlotPred<'_> {
+            let p = (*p)?;
+            Some(Box::new(move |v: &Value| p.matches(v.as_value_ref())))
+        })
+        .collect();
+    let tables: Vec<&[Vec<Value>]> = cells.iter().map(Vec::as_slice).collect();
     let mut out = Vec::new();
-    extend(0, &mut vec![0; cells.len()], cells, q, preds, &mut out);
+    for_each_match(&tables, q, &tests, &mut |at| {
+        out.push(
+            q.projection
+                .iter()
+                .map(|&(node, col)| cells[node][at[node]][col as usize].clone())
+                .collect(),
+        );
+        true
+    });
     out.sort();
     out
 }

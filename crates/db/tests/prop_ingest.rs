@@ -180,7 +180,7 @@ proptest! {
 
     /// Satellite: the streaming loader is an exact stand-in for the legacy
     /// `Value`-per-cell `add_row` path, at the default block size and at
-    /// the paper-benchmark `PRISM_BLOCK_ROWS=64` granularity.
+    /// 64-row blocks.
     #[test]
     fn streaming_loader_matches_legacy_add_row_path(
         rows in proptest::collection::vec(arb_row(), 0..24),

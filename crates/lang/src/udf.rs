@@ -17,7 +17,6 @@
 //! report unknown names before searching.
 
 use crate::error::Error;
-use prism_db::faults::{self, FaultKind, FaultSite};
 use prism_db::stats::ColumnStats;
 use prism_db::types::Value;
 use std::collections::HashMap;
@@ -68,10 +67,10 @@ impl UdfRegistry {
     }
 
     /// Evaluate a value UDF; unregistered names are false. User code is
-    /// untrusted: a panic inside the UDF (or an injected chaos fault at the
-    /// `UdfEval` site) is caught and re-raised with the UDF's name
-    /// attached, so the validation slot's containment layer above reports
-    /// *which* user function faulted instead of an anonymous unwind.
+    /// untrusted: a panic inside the UDF is caught and re-raised with the
+    /// UDF's name attached, so the validation slot's containment layer
+    /// above reports *which* user function faulted instead of an anonymous
+    /// unwind.
     pub fn eval_value(&self, name: &str, v: &Value) -> bool {
         match self.try_eval_value(name, v) {
             Ok(b) => b,
@@ -87,11 +86,7 @@ impl UdfRegistry {
         let Some(f) = self.value.get(&key) else {
             return Ok(false);
         };
-        catch_unwind(AssertUnwindSafe(|| {
-            inject_udf_fault(&key);
-            f(v)
-        }))
-        .map_err(|_| Error::UdfPanic(key))
+        catch_unwind(AssertUnwindSafe(|| f(v))).map_err(|_| Error::UdfPanic(key))
     }
 
     /// Evaluate a column UDF; unregistered names are false. Panic handling
@@ -110,11 +105,7 @@ impl UdfRegistry {
         let Some(f) = self.column.get(&key) else {
             return Ok(false);
         };
-        catch_unwind(AssertUnwindSafe(|| {
-            inject_udf_fault(&key);
-            f(stats)
-        }))
-        .map_err(|_| Error::UdfPanic(key))
+        catch_unwind(AssertUnwindSafe(|| f(stats))).map_err(|_| Error::UdfPanic(key))
     }
 
     pub fn has_value_udf(&self, name: &str) -> bool {
@@ -156,21 +147,6 @@ impl UdfRegistry {
             }
         }
         missing
-    }
-}
-
-/// The `UdfEval` chaos injection point (`PRISM_FAULT`): fires inside the
-/// contained region, keyed by the UDF's name so the same seed always
-/// faults the same functions. `Transient` is not meaningful here (UDF
-/// evaluation has no retry budget of its own) and is ignored.
-fn inject_udf_fault(name: &str) {
-    if let Some(spec) = faults::env_spec() {
-        let token = faults::name_token(name);
-        match spec.check(FaultSite::UdfEval, token) {
-            Some(FaultKind::Panic) => faults::injected_panic(FaultSite::UdfEval, token),
-            Some(FaultKind::Delay) => faults::delay_steps(2048),
-            Some(FaultKind::Transient) | None => {}
-        }
     }
 }
 
