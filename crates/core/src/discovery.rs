@@ -112,16 +112,9 @@ pub struct DiscoveryStats {
     /// Candidate enumeration or filter decomposition was truncated.
     pub truncated: bool,
     /// Faults the injection layer fired (0 unless chaos is armed via
-    /// [`DiscoveryConfig::faults`]).
+    /// [`DiscoveryConfig::faults`]). The filters that faulted are in
+    /// [`DiscoveryResult::fault_reports`].
     pub faults_injected: u64,
-    /// Transient-fault retries performed by guarded validation slots.
-    pub fault_retries: u64,
-    /// Filters whose validation faulted (see
-    /// [`DiscoveryResult::fault_reports`]).
-    pub filters_faulted: u64,
-    /// Validation rounds the watchdog hard-abandoned past the deadline
-    /// grace window.
-    pub rounds_abandoned: u64,
 }
 
 /// The outcome of one discovery round.
@@ -133,22 +126,23 @@ pub struct DiscoveryResult {
     /// (the demo reports this as a failure/timeout).
     pub timed_out: bool,
     /// Part of the search space could not be decided: at least one filter
-    /// validation faulted (or a validation round was hard-abandoned), so
-    /// `queries` is a **sound subset** of the full answer — every returned
-    /// query genuinely satisfies the constraints, but some satisfying
-    /// queries may be missing. Details in [`DiscoveryResult::fault_reports`].
+    /// validation faulted, so `queries` is a **sound subset** of the full
+    /// answer — every returned query genuinely satisfies the constraints,
+    /// but some satisfying queries may be missing. Always equal to
+    /// `!fault_reports.is_empty()`; a round cut short by its deadline alone
+    /// is `timed_out`, not degraded.
     pub degraded: bool,
     /// One report per faulted filter: its PJ query (as SQL), the contained
-    /// panic message or retry-exhaustion reason, and how many candidates
-    /// it abandoned. Empty on a clean run.
+    /// panic message or executor error, and how many candidates it
+    /// abandoned. Empty on a clean run.
     pub fault_reports: Vec<FaultReport>,
 }
 
 impl DiscoveryResult {
     /// User-facing summary of a degraded round, for the demo's Result
-    /// panel: one line per faulted filter naming its query and reason,
-    /// plus the watchdog's abandonment count. `None` for a clean round —
-    /// callers can `if let Some(notice)` straight into the UI.
+    /// panel: one line per faulted filter naming its query and reason.
+    /// `None` for a clean round — callers can `if let Some(notice)`
+    /// straight into the UI.
     pub fn degradation_notice(&self) -> Option<String> {
         if !self.degraded {
             return None;
@@ -157,18 +151,8 @@ impl DiscoveryResult {
             String::from("partial results: part of the search space could not be validated\n");
         for r in &self.fault_reports {
             out.push_str(&format!(
-                "  - {} [{} candidate(s) abandoned, {} retr{}]: {}\n",
-                r.filter_sql,
-                r.candidates,
-                r.retries,
-                if r.retries == 1 { "y" } else { "ies" },
-                r.reason,
-            ));
-        }
-        if self.stats.rounds_abandoned > 0 {
-            out.push_str(&format!(
-                "  - {} validation round(s) hard-abandoned past the deadline\n",
-                self.stats.rounds_abandoned
+                "  - {} [{} candidate(s) abandoned]: {}\n",
+                r.filter_sql, r.candidates, r.reason,
             ));
         }
         Some(out)
@@ -242,22 +226,17 @@ pub(crate) fn run_round(
     stats.implied_failures = outcome.implied_failures;
     stats.exec = outcome.exec;
     stats.faults_injected = outcome.faults_injected;
-    stats.fault_retries = outcome.fault_retries;
-    stats.filters_faulted = outcome.faulted.len() as u64;
-    stats.rounds_abandoned = outcome.rounds_abandoned;
 
     // Graceful degradation: contained faults shrink the answer instead of
     // sinking the round. Name each undecidable filter (as SQL — the user's
     // vocabulary) so the session can show *which* part of the search space
     // the partial result does not cover.
-    let degraded = !outcome.faulted.is_empty() || outcome.rounds_abandoned > 0;
     let fault_reports: Vec<FaultReport> = outcome
         .faulted
         .iter()
         .map(|ff| FaultReport {
             filter_sql: render_sql(&filter_query(db, fs.filter(ff.filter)), db),
             reason: ff.reason.clone(),
-            retries: ff.retries,
             candidates: ff.candidates.len(),
         })
         .collect();
@@ -305,7 +284,14 @@ pub(crate) fn run_round(
     for (_, estimated_rows, sql, cid) in ranked.into_iter().take(limit) {
         let candidate = cand_set.candidates[cid as usize].clone();
         let key = canonical_key(&candidate.query, db);
-        let preview = candidate.query.execute(db, 5).unwrap_or_default();
+        // A preview has no deadline and no predicates, so only the query's
+        // validation can fail, and candidate queries are valid by
+        // construction: a failure is a bug, reported by the service's
+        // round boundary as a degraded round.
+        let preview = candidate
+            .query
+            .execute(db, 5)
+            .expect("candidate queries are structurally valid by construction");
         queries.push(DiscoveredQuery {
             candidate,
             sql,
@@ -319,7 +305,7 @@ pub(crate) fn run_round(
         queries,
         stats,
         timed_out: outcome.timed_out,
-        degraded,
+        degraded: !fault_reports.is_empty(),
         fault_reports,
     }
 }

@@ -58,7 +58,7 @@ pub use constraints::TargetConstraints;
 pub use discovery::{DiscoveredQuery, DiscoveryResult, DiscoveryStats};
 pub use error::Error;
 pub use explain::QueryGraph;
-pub use faults::{FaultKind, FaultNote, FaultReport, FaultSite, FaultSpec, SlotVerdict};
+pub use faults::{FaultKind, FaultReport, FaultSpec, SlotVerdict};
 pub use filters::{Filter, FilterId, FilterSet, PlanCacheStats};
 pub use related::RelatedColumns;
 pub use scheduler::{Engine, FaultedFilter, SchedCtx, Scheduler, SchedulerKind};

@@ -33,7 +33,7 @@
 //! ## Incremental scoring
 //!
 //! The greedy loop keeps one score cache per run. After each round's
-//! verdicts are applied, [`reconcile`] invalidates exactly the scores in
+//! verdicts are applied, `reconcile` invalidates exactly the scores in
 //! their dependency cone, and selection recomputes only those; every other
 //! score is reused as stored, and selection takes the best ones from a
 //! ranking of the stored scores instead of sorting them all. A cached
@@ -43,7 +43,7 @@
 //!
 //! ## Batch width
 //!
-//! [`Engine::Greedy`] runs one loop ([`greedy_rounds`]) whose batch width
+//! [`Engine::Greedy`] runs one loop (`greedy_rounds`) whose batch width
 //! is its thread count. Width 1 validates one filter per round inline on
 //! the calling thread, with no pool. A wider round picks a *batch* of
 //! top-scoring, mutually **non-implying** filters (no batch member can
@@ -55,10 +55,10 @@
 //! validation interleaving (hence the validation *counts*) may differ.
 
 use crate::constraints::TargetConstraints;
-use crate::faults::{FaultCounters, FaultNote, FaultSpec, SlotVerdict};
+use crate::faults::{FaultSpec, SlotVerdict};
 use crate::filters::{Filter, FilterId, FilterSet};
 use crate::parallel::{validate_with_pool, BatchRunner};
-use crate::validate::{validate_filter_cached, validate_filter_guarded, SlotEnv};
+use crate::validate::{validate_filter_cached, validate_filter_guarded};
 use prism_bayes::{BayesEstimator, Side};
 use prism_db::hash::MulRotMap;
 use prism_db::{Database, EdgeId, ExecScratch, ExecStats, TableId};
@@ -363,14 +363,9 @@ pub struct ScheduleOutcome {
     /// Faults the injection layer fired across this run's validation
     /// slots (0 unless [`SchedCtx::faults`] armed injection).
     pub faults_injected: u64,
-    /// Transient-fault retries performed by guarded validation slots.
-    pub fault_retries: u64,
-    /// Validation rounds the watchdog hard-abandoned past the deadline
-    /// grace window (their unreported slots reconciled as unknown).
-    pub rounds_abandoned: u64,
     /// Filters whose validation faulted — a contained panic (user UDF,
-    /// injected chaos, engine bug) or an exhausted transient-retry budget.
-    /// Each entry names the candidates it abandoned. Empty = clean run.
+    /// injected chaos, engine bug) or an executor error. Each entry names
+    /// the candidates it abandoned. Empty = clean run.
     pub faulted: Vec<FaultedFilter>,
 }
 
@@ -380,10 +375,8 @@ pub struct ScheduleOutcome {
 #[derive(Debug, Clone)]
 pub struct FaultedFilter {
     pub filter: FilterId,
-    /// Contained panic message or transient-exhaustion description.
+    /// Contained panic message or executor error.
     pub reason: String,
-    /// Transient retries burned before the fault was declared.
-    pub retries: u32,
     /// Alive candidates abandoned because this filter — one of their top
     /// filters — can no longer be decided.
     pub candidates: Vec<u32>,
@@ -411,7 +404,7 @@ enum CState {
 
 /// The read-only side of one scheduling run: the frozen database, the
 /// constraint set, the filter lattice, and the wall-clock budget. Split
-/// from [`RunState`] so the parallel engine's workers can borrow it
+/// from `RunState` so the parallel engine's workers can borrow it
 /// immutably across threads while the coordinator owns the mutable pruning
 /// state (the `db` crate asserts `Database: Send + Sync`; `crate::parallel`
 /// asserts the rest).
@@ -421,8 +414,8 @@ pub struct SchedCtx<'a> {
     pub fs: &'a FilterSet,
     /// Deadline after which the run reports `timed_out`; `None` = unbounded.
     pub deadline: Option<Instant>,
-    /// Deterministic fault injection for the `ValidationSlot` site; `None`
-    /// (the default) disables injection.
+    /// Deterministic fault injection into validation slots; `None` (the
+    /// default) disables injection.
     pub faults: Option<FaultSpec>,
 }
 
@@ -668,7 +661,7 @@ impl RunState {
     /// nothing about the data), and crucially *no* failure propagates to
     /// superfilters: implication pruning only ever acts on ground-truth
     /// verdicts, so one faulting filter cannot poison its siblings.
-    fn mark_faulted(&mut self, ctx: &SchedCtx<'_>, f: FilterId, note: FaultNote) {
+    fn mark_faulted(&mut self, ctx: &SchedCtx<'_>, f: FilterId, reason: String) {
         if self.fstate[f.index()] != FState::Pending {
             return;
         }
@@ -685,8 +678,7 @@ impl RunState {
         }
         self.outcome.faulted.push(FaultedFilter {
             filter: f,
-            reason: note.reason,
-            retries: note.retries,
+            reason,
             candidates: abandoned,
         });
     }
@@ -708,33 +700,22 @@ impl RunState {
         match v {
             SlotVerdict::Done(ok) => self.apply_validated(ctx, f, ok),
             SlotVerdict::Skipped => self.outcome.timed_out = true,
-            SlotVerdict::Faulted(note) => self.mark_faulted(ctx, f, note),
+            SlotVerdict::Faulted(reason) => self.mark_faulted(ctx, f, reason),
         }
     }
 
     /// Validate one filter on the coordinator thread (width 1 and `Naive`),
     /// through the filter set's shared plan cache and this run's scratch —
     /// fault-contained exactly like a pool slot, with the run deadline
-    /// armed so the executor's step tick can interrupt a scan mid-filter.
+    /// attached so the executor's step tick can interrupt a scan mid-filter.
     fn validate_now(&mut self, ctx: &SchedCtx<'_>, f: FilterId) {
-        let env = SlotEnv {
-            db: ctx.db,
-            fs: ctx.fs,
-            constraints: ctx.constraints,
-            faults: ctx.faults.as_ref(),
-            cancel: None,
-            deadline: ctx.deadline,
-        };
-        let mut counters = FaultCounters::default();
         let v = validate_filter_guarded(
-            &env,
+            ctx,
             f,
             &mut self.scratch,
             &mut self.outcome.exec,
-            &mut counters,
+            &mut self.outcome.faults_injected,
         );
-        self.outcome.faults_injected += counters.injected;
-        self.outcome.fault_retries += counters.retries;
         self.apply_slot(ctx, f, v);
     }
 
@@ -1119,14 +1100,12 @@ fn greedy(ctx: &SchedCtx<'_>, model: &dyn FailureModel, threads: usize) -> Sched
     if threads <= 1 {
         greedy_rounds(ctx, model, 1, &mut state, None);
     } else {
-        let ((), report) = validate_with_pool(ctx, threads, ctx.deadline, |pool| {
+        let ((), report) = validate_with_pool(ctx, threads, |pool| {
             greedy_rounds(ctx, model, threads, &mut state, Some(pool))
         });
         state.outcome.exec.merge(&report.exec);
         state.outcome.stolen = report.stolen;
-        state.outcome.faults_injected += report.faults.injected;
-        state.outcome.fault_retries += report.faults.retries;
-        state.outcome.rounds_abandoned += report.rounds_abandoned;
+        state.outcome.faults_injected += report.injected;
     }
     state.finish()
 }

@@ -27,9 +27,8 @@ use crate::faults::FaultReport;
 use crate::filters::{PlanCacheStats, SharedPlanCache};
 use crate::scheduler::SchedulerKind;
 use crate::session::{SessionConfig, SessionHandle};
-use crate::validate::panic_message;
 use prism_bayes::{BayesEstimator, TrainConfig};
-use prism_db::Database;
+use prism_db::{panic_message, Database};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -151,7 +150,6 @@ impl ServiceCore {
             fault_reports: vec![FaultReport {
                 filter_sql: "(round coordinator)".to_string(),
                 reason: panic_message(&*payload),
-                retries: 0,
                 candidates: 0,
             }],
             ..DiscoveryResult::default()

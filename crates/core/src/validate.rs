@@ -17,36 +17,34 @@
 //! predicate closures are plain stack values — no boxing. The per-call
 //! [`validate_filter`] remains for one-shot callers and as the reference
 //! semantics the cached path must match.
+//!
+//! The schedulers run every slot, inline or on a pool worker, through one
+//! fault-contained path under the round's [`SchedCtx`]: the round deadline
+//! is the only thing that stops a slot early (unknown verdict), and a
+//! contained panic or an executor error the only way one fails.
 
 use crate::candidates::build_query;
 use crate::constraints::TargetConstraints;
-use crate::faults::{
-    attempt_token, delay_steps, injected_panic, FaultCounters, FaultKind, FaultNote, FaultSite,
-    FaultSpec, SlotVerdict,
-};
+use crate::faults::SlotVerdict;
 use crate::filters::{Filter, FilterId, FilterSet, PlanCache};
-use prism_db::{Database, DbError, ExecScratch, ExecStats, PjQuery, ProjPred, ScanPred, ValueRef};
+use crate::scheduler::SchedCtx;
+use prism_db::{
+    panic_message, Database, DbError, ExecScratch, ExecStats, PjQuery, ProjPred, ScanPred, ValueRef,
+};
 use prism_lang::matches_value_ref_with;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
-use std::time::Instant;
 
-/// Validation without a cancel handle or deadline attached to the scratch
-/// cannot be interrupted, so the `Result` of the inner path is vacuous for
-/// the plain `bool` wrappers.
-const UNINTERRUPTED: &str = "validation without a cancel handle or deadline cannot be cancelled";
-
-/// Transient-fault retry budget per validation slot (attempt 0 plus up to
-/// this many retries).
-pub const MAX_TRANSIENT_RETRIES: u32 = 2;
+/// Validation without a deadline attached to the scratch cannot be
+/// interrupted, so the `Result` of the inner path is vacuous for the plain
+/// `bool` wrappers.
+const UNINTERRUPTED: &str = "validation without a deadline cannot be cancelled";
 
 /// Validate `filter` against `db` under `constraints`. Returns whether the
 /// filter is satisfied; work is accumulated into `stats`.
 ///
 /// One-shot path: compiles the filter's query and uses a fresh scratch
-/// every call. Scheduling engines use [`validate_filter_guarded`] (fault
-/// containment) or [`validate_filter_cached`] instead.
+/// every call. Scheduling engines validate through the fault-contained
+/// slot path instead, and the oracle through [`validate_filter_cached`].
 pub fn validate_filter(
     db: &Database,
     filter: &Filter,
@@ -63,10 +61,9 @@ pub fn validate_filter(
 /// ([`ExecStats::plans_built`]) and the scratch amortizes its allocations
 /// across calls ([`ExecStats::scratch_reuses`]).
 ///
-/// The caller's scratch must not carry a cancel handle or deadline — this
-/// wrapper panics on interruption. Cancellation-aware callers (the
-/// validation pool, the sequential greedy loop) use
-/// [`validate_filter_guarded`].
+/// The caller's scratch must not carry a deadline — this wrapper panics on
+/// interruption. The schedulers, which run under the round deadline,
+/// validate through the fault-contained slot path instead.
 pub fn validate_filter_cached(
     db: &Database,
     fs: &FilterSet,
@@ -86,125 +83,54 @@ pub fn validate_filter_cached(
     .expect(UNINTERRUPTED)
 }
 
-/// Everything a guarded validation slot shares with its siblings: the
-/// frozen inputs plus the round's interruption and fault-injection state.
-/// One of these lives per worker (or per sequential loop) and is reused
-/// across every slot it runs.
-pub(crate) struct SlotEnv<'a> {
-    pub db: &'a Database,
-    pub fs: &'a FilterSet,
-    pub constraints: &'a TargetConstraints,
-    /// Injection spec for the `ValidationSlot` site; `None` = chaos off.
-    pub faults: Option<&'a FaultSpec>,
-    /// The round's cancel flag, re-attached to a rebuilt scratch.
-    pub cancel: Option<&'a Arc<AtomicBool>>,
-    /// The round's deadline, re-attached to a rebuilt scratch.
-    pub deadline: Option<Instant>,
-}
-
-impl SlotEnv<'_> {
-    /// Arm `scratch` with this round's cancel flag and deadline so the
-    /// executor's in-query tick can interrupt long scans.
-    fn arm(&self, scratch: &mut ExecScratch) {
-        scratch.set_cancel(self.cancel.map(Arc::clone));
-        scratch.set_deadline(self.deadline);
-    }
-}
-
-/// Fault-contained validation of one slot: the engine-facing entry point
-/// of the robustness layer.
+/// Fault-contained validation of one slot under the round's deadline and
+/// fault spec: the engine-facing entry point of the robustness layer, run
+/// once per slot, inline or on a pool worker. Injected faults are counted
+/// into `injected`.
 ///
 /// Differences from [`validate_filter_cached`]:
 ///
+/// * the round deadline is attached to `scratch`, so the executor's step
+///   tick stops a long scan once it passes; the slot then reports
+///   [`SlotVerdict::Skipped`] — unknown, not failed;
 /// * a panic anywhere inside the validation (a user UDF, an injected chaos
 ///   fault, a genuine engine bug) is caught; the slot reports
-///   [`SlotVerdict::Faulted`] with the panic message and the worker's
-///   scratch is **quarantined** — dropped and rebuilt, because an unwound
-///   executor may hold arbitrary partial state;
-/// * cooperative interruption ([`prism_db::Error::Cancelled`] from the
-///   executor's step tick) surfaces as [`SlotVerdict::Skipped`] — unknown,
-///   not failed;
-/// * injected transient faults are retried up to [`MAX_TRANSIENT_RETRIES`]
-///   times with exponential backoff in virtual steps (wall-clock free, so
-///   seeded chaos runs stay deterministic), re-rolling the injection
-///   decision per attempt.
+///   [`SlotVerdict::Faulted`] with the panic message and the scratch is
+///   **quarantined** — dropped and rebuilt, because an unwound executor may
+///   hold arbitrary partial state. Any other executor error faults the
+///   slot with the error's text.
 pub(crate) fn validate_filter_guarded(
-    env: &SlotEnv<'_>,
+    ctx: &SchedCtx<'_>,
     f: FilterId,
     scratch: &mut ExecScratch,
     stats: &mut ExecStats,
-    counters: &mut FaultCounters,
+    injected: &mut u64,
 ) -> SlotVerdict {
-    env.arm(scratch);
+    scratch.set_deadline(ctx.deadline);
     let token = f.index() as u64;
-    let mut retries = 0u32;
-    for attempt in 0u32.. {
-        let fired = env
-            .faults
-            .and_then(|s| s.check(FaultSite::ValidationSlot, attempt_token(token, attempt)));
-        if fired.is_some() {
-            counters.injected += 1;
+    let fired = ctx.faults.as_ref().and_then(|s| s.check(token));
+    *injected += u64::from(fired.is_some());
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        if let Some(kind) = fired {
+            kind.inject(token);
         }
-        if matches!(fired, Some(FaultKind::Transient)) {
-            // Simulated retryable failure (a flaky page read, a poisoned
-            // cache line): no validation work happens this attempt.
-            if retries < MAX_TRANSIENT_RETRIES {
-                retries += 1;
-                counters.retries += 1;
-                delay_steps(64 << retries);
-                continue;
-            }
-            return SlotVerdict::Faulted(FaultNote {
-                reason: format!("transient fault persisted after {retries} retries"),
-                retries,
-            });
+        run_validation(
+            ctx.db,
+            ctx.fs.filter(f),
+            ctx.constraints,
+            Some(&ctx.fs.plans),
+            scratch,
+            stats,
+        )
+    }));
+    match run {
+        Ok(Ok(b)) => SlotVerdict::Done(b),
+        Ok(Err(DbError::Cancelled)) => SlotVerdict::Skipped,
+        Ok(Err(e)) => SlotVerdict::Faulted(e.to_string()),
+        Err(payload) => {
+            *scratch = ExecScratch::new();
+            SlotVerdict::Faulted(panic_message(&*payload))
         }
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            match fired {
-                Some(FaultKind::Panic) => {
-                    injected_panic(FaultSite::ValidationSlot, attempt_token(token, attempt))
-                }
-                Some(FaultKind::Delay) => delay_steps(4096),
-                Some(FaultKind::Transient) | None => {}
-            }
-            run_validation(
-                env.db,
-                env.fs.filter(f),
-                env.constraints,
-                Some(&env.fs.plans),
-                scratch,
-                stats,
-            )
-        }));
-        return match run {
-            Ok(Ok(b)) => SlotVerdict::Done(b),
-            Ok(Err(DbError::Cancelled)) => SlotVerdict::Skipped,
-            Ok(Err(e)) => SlotVerdict::Faulted(FaultNote {
-                reason: e.to_string(),
-                retries,
-            }),
-            Err(payload) => {
-                // Quarantine: the unwound scratch may hold partial state.
-                *scratch = ExecScratch::new();
-                env.arm(scratch);
-                SlotVerdict::Faulted(FaultNote {
-                    reason: panic_message(&*payload),
-                    retries,
-                })
-            }
-        };
-    }
-    unreachable!("the attempt loop always returns")
-}
-
-/// Best-effort text of a caught panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -248,8 +174,8 @@ fn run_validation(
         .collect();
     // Preparation failures are construction bugs, not runtime faults — the
     // expect stays. Execution errors propagate: `Cancelled` is the
-    // executor's cooperative-interruption tick firing mid-scan, and the
-    // guarded path must see it rather than have it swallowed here.
+    // executor's deadline tick firing mid-scan, and the guarded path must
+    // see it rather than have it swallowed here.
     const VALID: &str = "filter queries are structurally valid by construction";
     match plans {
         Some(cache) => {

@@ -33,7 +33,7 @@
 
 use crate::batch::ColumnBatch;
 use crate::database::DatabaseBuilder;
-use crate::error::DbError;
+use crate::error::{panic_message, DbError};
 use crate::schema::{ColumnDef, TableId};
 use crate::types::{DataType, Date, Time, Value};
 use std::ops::Range;
@@ -472,18 +472,6 @@ fn parse_chunk_guarded(
             message: panic_message(&*payload),
         }
     })
-}
-
-/// Best-effort text of a panic payload (the `&str`/`String` forms cover
-/// `panic!` and `assert!`; anything else is opaque).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Push one effective field into the batch under `dtype`; `false` on a

@@ -47,8 +47,9 @@ pub enum DbError {
     DuplicateForeignKey { from: String, to: String },
     /// A PJ query referenced a node slot or column that is out of range.
     InvalidQuery(String),
-    /// Execution was abandoned cooperatively (deadline or cancel flag).
-    /// Not a query error: the caller asked the executor to stop.
+    /// Execution stopped at the deadline attached to its scratch
+    /// ([`crate::ExecScratch::set_deadline`]). Not a query error: the
+    /// caller asked the executor to stop.
     Cancelled,
     /// A typed batch push hit a column of a different kind (e.g.
     /// `push_str` into an int column).
@@ -57,8 +58,8 @@ pub enum DbError {
         pushed: &'static str,
         column_kind: &'static str,
     },
-    /// A parallel CSV chunk parser panicked (twice, so not a transient
-    /// fault); the chunk's starting row locates the bad input.
+    /// A parallel CSV chunk parser panicked. Parsing is deterministic, so
+    /// the chunk is parsed once; its starting row locates the bad input.
     IngestPanic { chunk_row: usize, message: String },
 }
 
@@ -118,7 +119,7 @@ impl fmt::Display for DbError {
                 write!(f, "join `{from}` = `{to}` declared twice")
             }
             DbError::InvalidQuery(msg) => write!(f, "invalid PJ query: {msg}"),
-            DbError::Cancelled => write!(f, "execution cancelled (deadline or cancel flag)"),
+            DbError::Cancelled => write!(f, "execution cancelled at the deadline"),
             DbError::BatchKindMismatch {
                 column,
                 pushed,
@@ -136,6 +137,19 @@ impl fmt::Display for DbError {
 }
 
 impl std::error::Error for DbError {}
+
+/// Best-effort text of a caught panic payload: the `&str` and `String`
+/// forms cover `panic!` and `assert!`; anything else is opaque. Pass the
+/// payload itself (`&*payload`), not the `Box` holding it.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -78,7 +78,7 @@
 //!   depth's separator keys, so whether it can emit a row depends only on
 //!   its depth and those keys.
 //! * A key is recorded only when its sub-search ran to completion without
-//!   emitting a row. An error, a cancellation or a panic records nothing.
+//!   emitting a row. An error, a deadline stop or a panic records nothing.
 //! * The set is cleared at the start of every run and dropped with a
 //!   quarantined scratch. Separators wider than two keys, or holding a NULL
 //!   key, are never memoized.
@@ -670,7 +670,6 @@ impl PreparedQuery {
             stats,
             cb,
             steps: 0,
-            cancel: scratch.cancel.clone(),
             deadline: scratch.deadline,
             assignment: &mut scratch.assignment,
             memos: &mut scratch.memos,
@@ -748,12 +747,9 @@ pub struct ExecScratch {
     /// Whether any run has used this scratch (drives
     /// [`ExecStats::scratch_reuses`]).
     used: bool,
-    /// Cooperative cancellation probe: row loops poll this every 1024
-    /// steps and abandon the run with [`DbError::Cancelled`] when raised.
-    /// Survives [`ExecScratch::reset_for`] — the attachment outlives runs.
-    cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    /// Hard deadline checked on the same stride (for callers with no flag
-    /// to raise, e.g. the sequential scheduler inside one long scan).
+    /// Deadline probe: row loops poll it every 1024 steps and abandon the
+    /// run with [`DbError::Cancelled`] once it has passed. Survives
+    /// [`ExecScratch::reset_for`] — the attachment outlives runs.
     deadline: Option<std::time::Instant>,
 }
 
@@ -762,15 +758,10 @@ impl ExecScratch {
         ExecScratch::default()
     }
 
-    /// Attach (or detach) a shared cancellation flag. While attached, any
-    /// run on this scratch returns [`DbError::Cancelled`] within ~1024 row
-    /// steps of the flag being raised — this is what lets a coordinator's
-    /// watchdog converge even when a validation is mid-scan.
-    pub fn set_cancel(&mut self, cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>) {
-        self.cancel = cancel;
-    }
-
-    /// Attach (or detach) a hard deadline checked inside row loops.
+    /// Attach (or detach) a deadline. While attached, any run on this
+    /// scratch returns [`DbError::Cancelled`] within ~1024 row steps of the
+    /// deadline passing, so a validation stops mid-scan when its round's
+    /// time is up.
     pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
         self.deadline = deadline;
     }
@@ -1327,15 +1318,14 @@ struct SearchState<'a, 'cb, 'st> {
     stats: &'st mut ExecStats,
     cb: RowCallback<'cb>,
     /// Row steps since the run started; every 1024th step polls the
-    /// cancellation probe below. One increment + mask test per row when no
-    /// probe is attached — the blind-spot fix stays off the hot path.
+    /// deadline below. One increment + mask test per row when no deadline
+    /// is attached, so the check stays off the hot path.
     steps: u64,
-    cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
     deadline: Option<std::time::Instant>,
 }
 
 impl SearchState<'_, '_, '_> {
-    /// One row step: poll the cancellation probe on a 1024-step stride.
+    /// One row step: poll the deadline on a 1024-step stride.
     #[inline]
     fn tick(&mut self) -> Result<(), DbError> {
         self.steps = self.steps.wrapping_add(1);
@@ -1347,17 +1337,8 @@ impl SearchState<'_, '_, '_> {
 
     #[cold]
     fn interrupted(&self) -> bool {
-        if let Some(c) = &self.cancel {
-            if c.load(std::sync::atomic::Ordering::Relaxed) {
-                return true;
-            }
-        }
-        if let Some(d) = self.deadline {
-            if std::time::Instant::now() >= d {
-                return true;
-            }
-        }
-        false
+        self.deadline
+            .is_some_and(|d| std::time::Instant::now() >= d)
     }
 }
 
@@ -1388,7 +1369,7 @@ impl<'a> Search<'a> {
         let emitted = st.stats.rows_emitted;
         let result = self.expand(depth, st);
         // Record only a sub-search that ran to completion without emitting:
-        // errors and cancellations return early, and a panic unwinds past.
+        // errors and deadline stops return early, and a panic unwinds past.
         if let (Some(key), Ok(true)) = (nogood, &result) {
             if st.stats.rows_emitted == emitted && st.nogoods.len() < NOGOOD_CAP {
                 st.nogoods.insert(key);

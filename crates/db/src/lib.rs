@@ -54,7 +54,6 @@ pub mod csv;
 pub mod database;
 pub mod error;
 pub mod exec;
-pub mod faults;
 pub mod graph;
 pub mod hash;
 pub mod index;
@@ -72,12 +71,11 @@ pub use database::{
     Database, DatabaseBuilder, IngestReport, JoinIndexMemory, MemoryReport, TableMemory,
     DEFAULT_BLOCK_ROWS,
 };
-pub use error::DbError;
+pub use error::{panic_message, DbError};
 pub use exec::{
     ExecScratch, ExecStats, JoinCond, JoinOrder, PjQuery, PreparedQuery, ProjPred, RowCallback,
     ScanPred,
 };
-pub use faults::{FaultKind, FaultSite, FaultSpec};
 pub use graph::{EdgeId, JoinEdge, JoinTree, SchemaGraph};
 pub use index::{InvertedIndex, JoinIndex};
 pub use interner::SymbolTable;

@@ -176,7 +176,7 @@ impl ColumnStats {
     }
 
     /// Sampled statistics for large columns: one deterministic stride walk
-    /// touching ~[`SAMPLE_TARGET`] rows. Row and NULL counts stay exact
+    /// touching about `SAMPLE_TARGET` (65,536) rows. Row and NULL counts stay exact
     /// (the null bitmap keeps a running count), numeric min/max come exact
     /// from the frozen zone summary, and distinct counts / MCV frequencies /
     /// histogram masses are scaled estimates from the sample. Text and
