@@ -18,12 +18,20 @@
 //!
 //! Candidates are produced in non-decreasing tree size, so under a time
 //! budget the cheap queries are enumerated (and later validated) first.
+//!
+//! A *tier* is every candidate of one tree size. `Tiers` appends one tier
+//! per call, and [`enumerate_candidates`] runs it to the end. Tree size
+//! fixes a candidate's join count, the first field of its `RankKey`, so a
+//! later tier ranks below every earlier one: a round whose prefix of tiers
+//! holds `result_limit` accepted queries never needs the rest
+//! ([`crate::discovery`]).
 
 use crate::config::DiscoveryConfig;
 use crate::related::RelatedColumns;
 use prism_db::graph::JoinTree;
 use prism_db::schema::{ColumnRef, TableId};
 use prism_db::{Database, JoinCond, PjQuery};
+use std::cmp::Ordering;
 use std::time::Instant;
 
 /// One candidate schema mapping query.
@@ -35,6 +43,69 @@ pub struct Candidate {
     pub assignment: Vec<ColumnRef>,
     /// The equivalent executable PJ query.
     pub query: PjQuery,
+}
+
+impl Candidate {
+    /// This candidate's place in the Result ranking, known before any
+    /// validation.
+    pub(crate) fn rank_key(&self, db: &Database) -> RankKey {
+        RankKey {
+            joins: self.query.join_count(),
+            estimated_rows: estimate_result_rows(db, self),
+        }
+    }
+}
+
+/// The Result ranking's order before its SQL tie-break: fewer joins first
+/// (simpler mappings), then the smaller statistics-only result estimate
+/// (more specific mappings), compared with [`f64::total_cmp`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RankKey {
+    pub(crate) joins: usize,
+    pub(crate) estimated_rows: f64,
+}
+
+impl Ord for RankKey {
+    fn cmp(&self, other: &RankKey) -> Ordering {
+        self.joins
+            .cmp(&other.joins)
+            .then_with(|| self.estimated_rows.total_cmp(&other.estimated_rows))
+    }
+}
+
+impl PartialOrd for RankKey {
+    fn partial_cmp(&self, other: &RankKey) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for RankKey {
+    fn eq(&self, other: &RankKey) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for RankKey {}
+
+/// Statistics-only estimate of a candidate's result cardinality:
+/// `Π |R_t| / Π max(distinct(a), distinct(b))` over the tree's join edges —
+/// the classic System R key-join approximation. No execution involved.
+fn estimate_result_rows(db: &Database, cand: &Candidate) -> f64 {
+    let mut est = 1.0f64;
+    for &t in &cand.tree.tables {
+        est *= db.row_count(t).max(1) as f64;
+    }
+    for &e in &cand.tree.edges {
+        let edge = db.graph().edge(e);
+        let d = db
+            .stats()
+            .column(edge.a)
+            .distinct_count
+            .max(db.stats().column(edge.b).distinct_count)
+            .max(1);
+        est /= d as f64;
+    }
+    est
 }
 
 /// Result of candidate enumeration.
@@ -53,47 +124,87 @@ pub fn enumerate_candidates(
     deadline: Option<Instant>,
 ) -> CandidateSet {
     let mut out = CandidateSet::default();
-    if related.has_empty_column() {
-        return out;
+    let mut tiers = Tiers::new(db, related, config, deadline);
+    while tiers.grow(&mut out) {}
+    out
+}
+
+/// Candidate enumeration one tier (join-tree size) at a time. The caller's
+/// [`CandidateSet`] accumulates the tiers, so candidate ids, the candidate
+/// cap and truncation behave as one [`enumerate_candidates`] call.
+pub(crate) struct Tiers<'a> {
+    db: &'a Database,
+    related: &'a RelatedColumns,
+    config: &'a DiscoveryConfig,
+    deadline: Option<Instant>,
+    /// Every anchored tree, in non-decreasing size.
+    trees: Vec<JoinTree>,
+    /// The first tree not yet enumerated.
+    next: usize,
+}
+
+impl<'a> Tiers<'a> {
+    pub(crate) fn new(
+        db: &'a Database,
+        related: &'a RelatedColumns,
+        config: &'a DiscoveryConfig,
+        deadline: Option<Instant>,
+    ) -> Tiers<'a> {
+        let trees = if related.has_empty_column() {
+            Vec::new()
+        } else {
+            db.graph()
+                .enumerate_trees(config.max_tables, &related.anchor_tables())
+        };
+        Tiers {
+            db,
+            related,
+            config,
+            deadline,
+            trees,
+            next: 0,
+        }
     }
-    let anchors = related.anchor_tables();
-    let trees = db.graph().enumerate_trees(config.max_tables, &anchors);
-    'trees: for tree in trees {
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
+
+    /// Append the next tier's candidates to `out`; false if no tier was
+    /// left. Hitting the candidate cap or the deadline sets
+    /// `out.truncated` and ends enumeration.
+    pub(crate) fn grow(&mut self, out: &mut CandidateSet) -> bool {
+        let Some(size) = self.trees.get(self.next).map(JoinTree::table_count) else {
+            return false;
+        };
+        let tier = &self.trees[self.next..];
+        let end = self.next + tier.partition_point(|t| t.table_count() == size);
+        for tree in &self.trees[self.next..end] {
+            if self.deadline.is_some_and(|d| Instant::now() >= d) {
                 out.truncated = true;
                 break;
             }
+            // Options per target column, restricted to this tree's tables.
+            let options: Vec<Vec<ColumnRef>> = self
+                .related
+                .per_column
+                .iter()
+                .map(|cols| {
+                    cols.iter()
+                        .copied()
+                        .filter(|c| tree.contains_table(c.table))
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            if options.iter().any(Vec::is_empty) {
+                continue;
+            }
+            let leaves = tree.leaf_tables(self.db.graph());
+            let mut assignment: Vec<ColumnRef> = Vec::with_capacity(options.len());
+            let (db, config) = (self.db, self.config);
+            if !assign(db, tree, &leaves, &options, &mut assignment, config, out) {
+                break; // global cap hit
+            }
         }
-        // Options per target column, restricted to this tree's tables.
-        let options: Vec<Vec<ColumnRef>> = related
-            .per_column
-            .iter()
-            .map(|cols| {
-                cols.iter()
-                    .copied()
-                    .filter(|c| tree.contains_table(c.table))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        if options.iter().any(Vec::is_empty) {
-            continue;
-        }
-        let leaves = tree.leaf_tables(db.graph());
-        let mut assignment: Vec<ColumnRef> = Vec::with_capacity(options.len());
-        if !assign(
-            db,
-            &tree,
-            &leaves,
-            &options,
-            &mut assignment,
-            config,
-            &mut out,
-        ) {
-            break 'trees; // global cap hit
-        }
+        self.next = if out.truncated { self.trees.len() } else { end };
+        true
     }
-    out
 }
 
 /// Recursive assignment enumeration; returns false when the global

@@ -21,7 +21,12 @@ pub struct DiscoveryConfig {
     /// Wall-clock budget for one discovery round (the paper's "60-second
     /// time limit for each round of query discovery").
     pub time_budget: Duration,
-    /// Maximum number of satisfying queries to return.
+    /// Maximum number of satisfying queries to return. The cap also bounds
+    /// the round's work: a round decides only the candidates its top
+    /// `result_limit` depend on, in tier passes ([`crate::discovery`]) under
+    /// the scheduler's top-k cut ([`crate::scheduler`]), and returns the
+    /// same list as a full classification. A limit at or above the round's
+    /// candidate count classifies every candidate.
     pub result_limit: usize,
     /// Which filter-validation scheduler to use.
     pub scheduler: SchedulerKind,

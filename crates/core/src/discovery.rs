@@ -6,12 +6,27 @@
 //! is its one entry point, which owns the trained Bayesian estimator
 //! (training happens "a priori", like the paper's preprocessing), the
 //! shared plan cache and the thread budget, and calls it for every round.
+//!
+//! ## Tier passes
+//!
+//! A round decides only the candidates its returned list depends on. It
+//! enumerates one tier (tree size) at a time (`candidates::Tiers`)
+//! until its prefix holds `result_limit` candidates, then decomposes and
+//! schedules that prefix under the scheduler's top-k cut
+//! ([`crate::scheduler`]). While fewer than `result_limit` of the prefix
+//! are accepted, and the round has neither timed out nor been truncated,
+//! it appends the next tier, rebuilds the filter set over the longer
+//! prefix and schedules it again. A later pass starts afresh: it keeps
+//! the round's Bayes memo and the service's warm plans, not the last
+//! pass's verdicts. If the deadline cuts a later pass short, the last
+//! complete pass's answer stands and the round reports a timeout. The
+//! Oracle classifies every candidate in one pass.
 
-use crate::candidates::{enumerate_candidates, Candidate};
+use crate::candidates::{Candidate, CandidateSet, RankKey, Tiers};
 use crate::config::DiscoveryConfig;
 use crate::constraints::TargetConstraints;
 use crate::faults::FaultReport;
-use crate::filters::{build_filters_with_cache, SharedPlanCache};
+use crate::filters::{build_filters_with_cache, FilterSet, SharedPlanCache};
 use crate::related::find_related;
 use crate::scheduler::{
     oracle_schedule, BayesModel, Engine, PathLengthModel, SchedCtx, ScheduleOutcome, Scheduler,
@@ -92,13 +107,16 @@ impl DiscoveredQuery {
 pub struct DiscoveryStats {
     /// Related columns found per target column.
     pub related_per_column: Vec<usize>,
-    /// Candidates enumerated.
+    /// Candidates enumerated: the prefix of tiers the round reached.
     pub candidates: usize,
-    /// Deduplicated filters built.
+    /// Deduplicated filters of the pass whose verdicts the round returns:
+    /// its last tier pass, unless the deadline cut that pass short.
     pub filters: usize,
-    /// Filter validations executed.
+    /// Filter validations executed, summed over the tier passes; a later
+    /// pass validates again what an earlier one decided.
     pub validations: u64,
-    /// Filters resolved by success/failure propagation.
+    /// Filters resolved by success/failure propagation, summed over the
+    /// tier passes like `validations`.
     pub implied_successes: u64,
     pub implied_failures: u64,
     /// Hindsight-optimal validations, filled by the Oracle scheduler
@@ -122,8 +140,8 @@ pub struct DiscoveryStats {
 pub struct DiscoveryResult {
     pub queries: Vec<DiscoveredQuery>,
     pub stats: DiscoveryStats,
-    /// The round hit its time budget before classifying every candidate
-    /// (the demo reports this as a failure/timeout).
+    /// The round hit its time budget before deciding every candidate the
+    /// list depends on (the demo reports this as a failure/timeout).
     pub timed_out: bool,
     /// Part of the search space could not be decided: at least one filter
     /// validation faulted, so `queries` is a **sound subset** of the full
@@ -174,17 +192,23 @@ pub(crate) fn run_round(
     let start = Instant::now();
     // A budget too large to add to the clock (`Duration::MAX`) is no limit.
     let deadline = start.checked_add(config.time_budget);
+    let limit = config.result_limit;
+    // The Oracle's count is the hindsight optimum of a full classification.
+    let full = config.scheduler == SchedulerKind::Oracle;
 
-    // Step 1: related columns and candidate enumeration.
+    // Step 1: related columns, then candidates tier by tier until the
+    // prefix holds `limit` of them.
     let related = find_related(db, constraints, config);
-    let cand_set = enumerate_candidates(db, &related, config, deadline);
+    let mut tiers = Tiers::new(db, &related, config, deadline);
+    let mut cand_set = CandidateSet::default();
+    while tiers.grow(&mut cand_set) && (full || cand_set.candidates.len() < limit) {}
+    let mut keys: Vec<RankKey> = cand_set.candidates.iter().map(|c| c.rank_key(db)).collect();
     let mut stats = DiscoveryStats {
         related_per_column: related.per_column.iter().map(Vec::len).collect(),
-        candidates: cand_set.candidates.len(),
-        truncated: cand_set.truncated,
         ..DiscoveryStats::default()
     };
     if cand_set.candidates.is_empty() {
+        stats.truncated = cand_set.truncated;
         stats.elapsed = start.elapsed();
         return DiscoveryResult {
             queries: Vec::new(),
@@ -195,37 +219,83 @@ pub(crate) fn run_round(
         };
     }
 
-    // Step 2: filters and scheduling.
-    let fs = build_filters_with_cache(db, &cand_set.candidates, constraints, deadline, Some(plans));
+    // Step 2: filters and scheduling, one pass per prefix of tiers. Greedy
+    // schedulers validate `threads` filters per round: one inline at
+    // `threads == 1`, a batch on the worker pool otherwise. One Bayes model
+    // serves every pass: its memo is keyed by constraint, not filter id.
+    let bayes = estimator.map(|est| BayesModel::new(est, constraints));
+    // The last pass that decided every candidate of its prefix.
+    let mut last: Option<(FilterSet, ScheduleOutcome)> = None;
+    let (fs, outcome) = loop {
+        let fs =
+            build_filters_with_cache(db, &cand_set.candidates, constraints, deadline, Some(plans));
+        let mut ctx = SchedCtx::new(db, constraints, &fs)
+            .with_deadline(deadline)
+            .with_faults(config.faults.clone());
+        if !full {
+            ctx = ctx.with_top_k(limit, &keys);
+        }
+        let greedy = |model: &dyn crate::scheduler::FailureModel| {
+            Scheduler::run(&ctx, Engine::Greedy { model, threads })
+        };
+        let outcome: ScheduleOutcome = match config.scheduler {
+            SchedulerKind::Naive => Scheduler::run(&ctx, Engine::Naive),
+            SchedulerKind::PathLength => greedy(&PathLengthModel),
+            SchedulerKind::Bayes => greedy(
+                bayes
+                    .as_ref()
+                    .expect("Bayes scheduler requires a trained estimator"),
+            ),
+            SchedulerKind::Oracle => {
+                let (v, o) = oracle_schedule(db, constraints, &fs);
+                stats.oracle_validations = Some(v);
+                o
+            }
+        };
+        stats.validations += outcome.validations;
+        stats.implied_successes += outcome.implied_successes;
+        stats.implied_failures += outcome.implied_failures;
+        stats.exec.merge(&outcome.exec);
+        stats.faults_injected += outcome.faults_injected;
+        stats.truncated |= fs.truncated;
+        // A later pass the deadline cut short may have left part of the
+        // last pass's prefix undecided: the last pass's answer stands.
+        if outcome.timed_out || fs.truncated {
+            if let Some((fs, outcome)) = last {
+                break (
+                    fs,
+                    ScheduleOutcome {
+                        timed_out: true,
+                        ..outcome
+                    },
+                );
+            }
+        }
+        // Every later tier ranks below this prefix: grow it only while the
+        // prefix cannot fill the list and every candidate of it was decided.
+        let undecided = outcome.timed_out || cand_set.truncated || fs.truncated;
+        if full || outcome.accepted.len() >= limit || undecided {
+            break (fs, outcome);
+        }
+        let before = cand_set.candidates.len();
+        while cand_set.candidates.len() == before && tiers.grow(&mut cand_set) {}
+        if cand_set.candidates.len() == before {
+            // No tier is left, or the deadline stopped the next one.
+            let timed_out = deadline.is_some_and(|d| Instant::now() >= d);
+            break (
+                fs,
+                ScheduleOutcome {
+                    timed_out,
+                    ..outcome
+                },
+            );
+        }
+        keys.extend(cand_set.candidates[before..].iter().map(|c| c.rank_key(db)));
+        last = Some((fs, outcome));
+    };
+    stats.candidates = cand_set.candidates.len();
     stats.filters = fs.len();
-    stats.truncated |= fs.truncated;
-
-    // Greedy schedulers validate `threads` filters per round: one inline
-    // at `threads == 1`, a batch on the worker pool otherwise.
-    let ctx = SchedCtx::new(db, constraints, &fs)
-        .with_deadline(deadline)
-        .with_faults(config.faults.clone());
-    let greedy = |model: &dyn crate::scheduler::FailureModel| {
-        Scheduler::run(&ctx, Engine::Greedy { model, threads })
-    };
-    let outcome: ScheduleOutcome = match config.scheduler {
-        SchedulerKind::Naive => Scheduler::run(&ctx, Engine::Naive),
-        SchedulerKind::PathLength => greedy(&PathLengthModel),
-        SchedulerKind::Bayes => {
-            let est = estimator.expect("Bayes scheduler requires a trained estimator");
-            greedy(&BayesModel::new(est, constraints))
-        }
-        SchedulerKind::Oracle => {
-            let (v, o) = oracle_schedule(db, constraints, &fs);
-            stats.oracle_validations = Some(v);
-            o
-        }
-    };
-    stats.validations = outcome.validations;
-    stats.implied_successes = outcome.implied_successes;
-    stats.implied_failures = outcome.implied_failures;
-    stats.exec = outcome.exec;
-    stats.faults_injected = outcome.faults_injected;
+    stats.truncated |= cand_set.truncated;
 
     // Graceful degradation: contained faults shrink the answer instead of
     // sinking the round. Name each undecidable filter (as SQL — the user's
@@ -241,47 +311,34 @@ pub(crate) fn run_round(
         })
         .collect();
 
-    // Materialize the Result section, ranked for the browsing user:
-    // fewer joins first (simpler mappings), then smaller estimated
-    // results (more specific mappings), then SQL for determinism.
-    // Ranking happens before the result cap so the cap keeps the best.
-    // SQL is rendered only at or above the cap's `(joins, estimate)`
-    // boundary: ties on the boundary are kept, because the SQL tie-break
-    // decides which of them make the cap. Candidate id last makes the
-    // order total; SQL is unique per candidate, so it never decides.
-    let limit = config.result_limit;
-    let mut ranked: Vec<(usize, f64, u32)> = outcome
+    // Materialize the Result section, ranked for the browsing user by
+    // rank key (fewer joins, then smaller estimated results), then SQL for
+    // determinism. Ranking happens before the result cap so the cap keeps
+    // the best. SQL is rendered only at or above the cap's key boundary:
+    // ties on the boundary are kept, because the SQL tie-break decides
+    // which of them make the cap. Candidate id last makes the order total;
+    // SQL is unique per candidate, so it never decides.
+    let mut ranked: Vec<(RankKey, u32)> = outcome
         .accepted
         .iter()
-        .map(|&cid| {
-            let cand = &cand_set.candidates[cid as usize];
-            (cand.query.join_count(), estimate_result_rows(db, cand), cid)
-        })
+        .map(|&cid| (keys[cid as usize], cid))
         .collect();
-    let by_cost = |a: &(usize, f64, u32), b: &(usize, f64, u32)| {
-        a.0.cmp(&b.0).then_with(|| a.1.total_cmp(&b.1))
-    };
     if limit == 0 {
         ranked.clear();
     } else if limit < ranked.len() {
-        let (_, &mut boundary, _) = ranked.select_nth_unstable_by(limit - 1, by_cost);
-        ranked.retain(|r| by_cost(r, &boundary).is_le());
+        let (_, &mut (boundary, _), _) = ranked.select_nth_unstable_by_key(limit - 1, |r| r.0);
+        ranked.retain(|r| r.0 <= boundary);
     }
-    let mut ranked: Vec<(usize, f64, String, u32)> = ranked
+    let mut ranked: Vec<(RankKey, String, u32)> = ranked
         .into_iter()
-        .map(|(joins, est, cid)| {
+        .map(|(key, cid)| {
             let sql = render_sql(&cand_set.candidates[cid as usize].query, db);
-            (joins, est, sql, cid)
+            (key, sql, cid)
         })
         .collect();
-    ranked.sort_by(|a, b| {
-        a.0.cmp(&b.0)
-            .then_with(|| a.1.total_cmp(&b.1))
-            .then_with(|| a.2.cmp(&b.2))
-            .then_with(|| a.3.cmp(&b.3))
-    });
+    ranked.sort_unstable();
     let mut queries = Vec::new();
-    for (_, estimated_rows, sql, cid) in ranked.into_iter().take(limit) {
+    for (rank, sql, cid) in ranked.into_iter().take(limit) {
         let candidate = cand_set.candidates[cid as usize].clone();
         let key = canonical_key(&candidate.query, db);
         // A preview has no deadline and no predicates, so only the query's
@@ -297,7 +354,7 @@ pub(crate) fn run_round(
             sql,
             key,
             preview,
-            estimated_rows,
+            estimated_rows: rank.estimated_rows,
         });
     }
     stats.elapsed = start.elapsed();
@@ -308,27 +365,6 @@ pub(crate) fn run_round(
         degraded: !fault_reports.is_empty(),
         fault_reports,
     }
-}
-
-/// Statistics-only estimate of a candidate's result cardinality:
-/// `Π |R_t| / Π max(distinct(a), distinct(b))` over the tree's join edges —
-/// the classic System R key-join approximation. No execution involved.
-fn estimate_result_rows(db: &Database, cand: &Candidate) -> f64 {
-    let mut est = 1.0f64;
-    for &t in &cand.tree.tables {
-        est *= db.row_count(t).max(1) as f64;
-    }
-    for &e in &cand.tree.edges {
-        let edge = db.graph().edge(e);
-        let d = db
-            .stats()
-            .column(edge.a)
-            .distinct_count
-            .max(db.stats().column(edge.b).distinct_count)
-            .max(1);
-        est /= d as f64;
-    }
-    est
 }
 
 #[cfg(test)]
@@ -383,6 +419,9 @@ mod tests {
         assert!(result.stats.elapsed < Duration::from_secs(60));
     }
 
+    /// Every scheduler classifies every candidate at an unbounded cap, so
+    /// the Oracle's hindsight count bounds Bayes's there. At the default
+    /// cap, Bayes decides only what the returned list needs.
     #[test]
     fn all_schedulers_find_the_same_queries() {
         let db = Arc::new(mondial(42, 1));
@@ -395,7 +434,11 @@ mod tests {
             SchedulerKind::Bayes,
             SchedulerKind::Oracle,
         ] {
-            let svc = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::with_scheduler(kind));
+            let config = DiscoveryConfig {
+                result_limit: usize::MAX,
+                ..DiscoveryConfig::with_scheduler(kind)
+            };
+            let svc = DiscoveryService::new(Arc::clone(&db), config);
             let result = run(&svc, &tc);
             // Only the Oracle scheduler computes the hindsight optimum, and
             // no scheduler validates fewer filters than it.
@@ -411,6 +454,14 @@ mod tests {
             }
             if kind == SchedulerKind::Bayes {
                 bayes_validations = result.stats.validations;
+                let svc = DiscoveryService::new(Arc::clone(&db), DiscoveryConfig::default());
+                let capped = run(&svc, &tc);
+                assert!(result.queries.len() > capped.queries.len(), "the cap cuts");
+                assert!(
+                    capped.stats.validations < bayes_validations,
+                    "capped {} >= unbounded {bayes_validations}",
+                    capped.stats.validations
+                );
             }
             let mut ks: Vec<String> = result.queries.iter().map(|q| q.key.clone()).collect();
             ks.sort();

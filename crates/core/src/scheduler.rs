@@ -53,7 +53,20 @@
 //! independent of order — so every width accepts the **identical candidate
 //! set** for every [`SchedulerKind`]; only wall-clock time and the
 //! validation interleaving (hence the validation *counts*) may differ.
+//!
+//! ## The top-k cut
+//!
+//! A round's list is ranked first by each candidate's rank key, known
+//! before any validation. A capped run (`SchedCtx::with_top_k`) retires
+//! a candidate as `Outranked` once `limit` accepted candidates have a
+//! strictly smaller key: whatever its verdict, it cannot make the list.
+//! Ties with the boundary stay, because the SQL tie-break chooses among
+//! them. The boundary only tightens, so retirement is permanent, and it
+//! is logged like any verdict, so the score cache rescores exactly what
+//! it touches. Naive and greedy runs share the cut at every width; debug
+//! builds audit it when a capped run ends.
 
+use crate::candidates::RankKey;
 use crate::constraints::TargetConstraints;
 use crate::faults::{FaultSpec, SlotVerdict};
 use crate::filters::{Filter, FilterId, FilterSet};
@@ -64,7 +77,7 @@ use prism_db::hash::MulRotMap;
 use prism_db::{Database, EdgeId, ExecScratch, ExecStats, TableId};
 use prism_lang::ValueConstraint;
 use std::cell::RefCell;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Range;
 use std::time::Instant;
@@ -400,6 +413,9 @@ enum CState {
     /// A top filter faulted: the candidate can never be proven, but was
     /// not disproven either. Excluded from results, reported as degraded.
     Abandoned,
+    /// `limit` accepted candidates have a strictly smaller rank key, so
+    /// the candidate cannot make the capped list whatever its verdict.
+    Outranked,
 }
 
 /// The read-only side of one scheduling run: the frozen database, the
@@ -417,6 +433,15 @@ pub struct SchedCtx<'a> {
     /// Deterministic fault injection into validation slots; `None` (the
     /// default) disables injection.
     pub faults: Option<FaultSpec>,
+    /// The result cap; `None` classifies every candidate.
+    top_k: Option<TopK<'a>>,
+}
+
+/// A run's result cap, with one rank key per candidate.
+#[derive(Clone, Copy)]
+struct TopK<'a> {
+    limit: usize,
+    keys: &'a [RankKey],
 }
 
 impl<'a> SchedCtx<'a> {
@@ -431,6 +456,7 @@ impl<'a> SchedCtx<'a> {
             fs,
             deadline: None,
             faults: None,
+            top_k: None,
         }
     }
 
@@ -441,6 +467,15 @@ impl<'a> SchedCtx<'a> {
 
     pub fn with_faults(mut self, faults: Option<FaultSpec>) -> SchedCtx<'a> {
         self.faults = faults;
+        self
+    }
+
+    /// Cap the run at `limit` results ranked by `keys`, one per candidate
+    /// (the module docs' top-k cut). The accepted set still holds the best
+    /// `limit` of a full classification, ties with the boundary included.
+    pub(crate) fn with_top_k(mut self, limit: usize, keys: &'a [RankKey]) -> SchedCtx<'a> {
+        debug_assert_eq!(keys.len(), self.fs.per_candidate.len());
+        self.top_k = Some(TopK { limit, keys });
         self
     }
 }
@@ -502,7 +537,20 @@ struct RunState {
     /// Filters and candidates whose scheduling state changed since the
     /// last [`reconcile`] — the score cache's staleness feed.
     changelog: ChangeLog,
+    /// The top-k cut of a capped run.
+    cut: Option<Cut>,
     outcome: ScheduleOutcome,
+}
+
+/// The top-k cut's state (module docs).
+struct Cut {
+    /// The `limit` smallest accepted keys, largest on top: once full, its
+    /// top is the boundary.
+    best: BinaryHeap<RankKey>,
+    /// Candidate ids in descending key order; the boundary has passed
+    /// `order[..next]`.
+    order: Vec<u32>,
+    next: usize,
 }
 
 /// What changed while a round's verdicts were applied: the inputs of
@@ -527,6 +575,15 @@ impl RunState {
             live: n_cands,
             scratch: ExecScratch::new(),
             changelog: ChangeLog::default(),
+            cut: ctx.top_k.map(|top_k| {
+                let mut order: Vec<u32> = (0..n_cands as u32).collect();
+                order.sort_unstable_by_key(|&c| Reverse(top_k.keys[c as usize]));
+                Cut {
+                    best: BinaryHeap::with_capacity(top_k.limit.min(n_cands) + 1),
+                    order,
+                    next: 0,
+                }
+            }),
             outcome: ScheduleOutcome::default(),
         };
         // Step-1 pre-validated filters start out succeeded (no propagation
@@ -539,6 +596,8 @@ impl RunState {
                 }
             }
         }
+        // At limit 0 the empty boundary outranks every candidate.
+        state.cut_outranked(ctx);
         // Degenerate candidates (e.g. single-table, single-pred tops) may be
         // fully resolved already.
         for c in 0..n_cands {
@@ -653,6 +712,13 @@ impl RunState {
         if all_tops_ok {
             self.retire(c, CState::Accepted);
             self.outcome.accepted.push(c);
+            if let (Some(top_k), Some(cut)) = (ctx.top_k, &mut self.cut) {
+                cut.best.push(top_k.keys[c as usize]);
+                if cut.best.len() > top_k.limit {
+                    cut.best.pop();
+                }
+                self.cut_outranked(ctx);
+            }
         }
     }
 
@@ -681,6 +747,27 @@ impl RunState {
             reason,
             candidates: abandoned,
         });
+    }
+
+    /// Retire every alive candidate that `limit` accepted candidates
+    /// strictly outrank; a no-op without a cap.
+    fn cut_outranked(&mut self, ctx: &SchedCtx<'_>) {
+        let (Some(top_k), Some(mut cut)) = (ctx.top_k, self.cut.take()) else {
+            return;
+        };
+        if cut.best.len() == top_k.limit {
+            let boundary = cut.best.peek().copied();
+            while let Some(&c) = cut.order.get(cut.next) {
+                if boundary.is_some_and(|b| top_k.keys[c as usize] <= b) {
+                    break;
+                }
+                cut.next += 1;
+                if self.alive(c) {
+                    self.retire(c, CState::Outranked);
+                }
+            }
+        }
+        self.cut = Some(cut);
     }
 
     /// Record one executed validation's verdict and propagate it.
@@ -719,9 +806,37 @@ impl RunState {
         self.apply_slot(ctx, f, v);
     }
 
-    fn finish(mut self) -> ScheduleOutcome {
+    fn finish(mut self, ctx: &SchedCtx<'_>) -> ScheduleOutcome {
         self.outcome.accepted.sort_unstable();
+        if cfg!(debug_assertions) && self.cut.is_some() {
+            self.audit_cut(ctx);
+        }
         self.outcome
+    }
+
+    /// Every outranked candidate has `limit` accepted candidates with a
+    /// strictly smaller key, and a run that did not time out left none
+    /// alive.
+    fn audit_cut(&self, ctx: &SchedCtx<'_>) {
+        let top_k = ctx.top_k.expect("a cut has a cap");
+        let key = |c: u32| top_k.keys[c as usize];
+        let mut accepted: Vec<RankKey> = self.outcome.accepted.iter().map(|&c| key(c)).collect();
+        accepted.sort_unstable();
+        for (c, &st) in self.cstate.iter().enumerate() {
+            if st == CState::Outranked {
+                let better = accepted.partition_point(|&k| k < key(c as u32));
+                assert!(
+                    better >= top_k.limit,
+                    "candidate {c} outranked by {better} < {} accepted",
+                    top_k.limit
+                );
+            }
+        }
+        assert!(
+            self.outcome.timed_out || self.live == 0,
+            "{} candidates left alive",
+            self.live
+        );
     }
 }
 
@@ -1107,7 +1222,7 @@ fn greedy(ctx: &SchedCtx<'_>, model: &dyn FailureModel, threads: usize) -> Sched
         state.outcome.stolen = report.stolen;
         state.outcome.faults_injected += report.injected;
     }
-    state.finish()
+    state.finish(ctx)
 }
 
 /// The one greedy loop: select up to `width` mutually non-implying
@@ -1217,14 +1332,15 @@ fn naive_schedule(ctx: &SchedCtx<'_>) -> ScheduleOutcome {
             // success/failure imply anything beyond this candidate's fate.
             state.validate_now(ctx, t);
             // Anything short of success — failed, faulted, or skipped at
-            // the deadline — means this candidate cannot be accepted.
-            if state.fstate[t.index()] != FState::Succeeded {
+            // the deadline — means this candidate cannot be accepted, and
+            // an outranked one need not be.
+            if state.fstate[t.index()] != FState::Succeeded || !state.alive(c as u32) {
                 continue 'cands;
             }
         }
         state.check_acceptance(ctx, c as u32);
     }
-    state.finish()
+    state.finish(ctx)
 }
 
 /// Ground-truth outcome of every filter, memoized. Not counted as

@@ -24,10 +24,14 @@
 //! - under chaos: a subset of it (a degraded round is a sound partial
 //!   answer), degraded iff it reports a fault.
 //! - capped at k: the first k of the same configuration's unbounded list,
-//!   or a subset of that list under chaos.
+//!   or a subset of that list under chaos. A capped chaos round that
+//!   reports no fault decided everything its list needs on ground truth,
+//!   so it is the first k of the fault-free unbounded list.
 
 #[path = "../../db/tests/support/nested_loop.rs"]
 mod nested_loop;
+#[path = "support/small_task.rs"]
+mod small_task;
 #[path = "support/task_session.rs"]
 mod task_session;
 
@@ -37,13 +41,14 @@ use prism_core::related::find_related;
 use prism_core::{
     DiscoveryConfig, DiscoveryResult, DiscoveryService, FaultSpec, SchedulerKind, TargetConstraints,
 };
-use prism_datasets::{imdb, mondial, nba, Resolution, TaskGenConfig, TaskGenerator};
+use prism_datasets::{imdb, mondial, nba, Resolution};
 use prism_db::schema::ColumnRef;
 use prism_db::types::Value;
 use prism_db::{canonical_key, Database, DatabaseBuilder, PjQuery};
 use prism_lang::matches_value_with;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use small_task::{small_task, Task};
 use std::sync::Arc;
 use task_session::task_session;
 
@@ -79,23 +84,6 @@ const MAX_CANDIDATES: usize = 800;
 /// service returns such a round as an empty degraded result, which would
 /// pass every subset check.
 const COORDINATOR: &str = "(round coordinator)";
-
-/// The constraint grid of one mapping task, and the key of the query it
-/// was drawn from.
-struct Task {
-    label: String,
-    column_count: usize,
-    samples: Vec<Vec<Option<String>>>,
-    metadata: Vec<Option<String>>,
-    truth: String,
-}
-
-impl Task {
-    fn constraints(&self) -> TargetConstraints {
-        TargetConstraints::parse(self.column_count, &self.samples, &self.metadata)
-            .expect("tasks carry parseable constraints")
-    }
-}
 
 /// The Table 1 walk-through of the paper.
 fn walkthrough() -> Task {
@@ -222,43 +210,13 @@ fn reference(db: &Database, rows: &Rows, task: Task) -> Reference {
 }
 
 /// Three taskgen tasks per resolution, with one, two and three sample
-/// rows, drawn in turn from one seeded stream per resolution. A draw is
-/// kept when its candidate set is non-empty and at most
-/// [`MAX_CANDIDATES`].
+/// rows, drawn in turn from one seeded stream per resolution.
 fn references(db: &Database, rows: &Rows) -> Vec<Reference> {
-    let config = DiscoveryConfig::default();
     let mut out = Vec::new();
     for (r, resolution) in Resolution::ALL.into_iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(r as u64);
         for sample_rows in 1..=3 {
-            let taskgen = TaskGenerator::new(
-                db,
-                TaskGenConfig {
-                    sample_rows,
-                    ..TaskGenConfig::default()
-                },
-            );
-            let task = (0..100)
-                .find_map(|draw| {
-                    let task = taskgen.generate(resolution, &mut rng)?;
-                    let task = Task {
-                        label: format!(
-                            "{} {}, {sample_rows} sample row(s), draw {draw}",
-                            db.name(),
-                            resolution.name()
-                        ),
-                        column_count: task.column_count,
-                        samples: task.samples,
-                        metadata: task.metadata,
-                        truth: task.truth_key,
-                    };
-                    let related = find_related(db, &task.constraints(), &config);
-                    let n = enumerate_candidates(db, &related, &config, None)
-                        .candidates
-                        .len();
-                    (1..=MAX_CANDIDATES).contains(&n).then_some(task)
-                })
-                .unwrap_or_else(|| panic!("no small {} task on {}", resolution.name(), db.name()));
+            let task = small_task(db, resolution, sample_rows, MAX_CANDIDATES, &mut rng);
             out.push(reference(db, rows, task));
         }
     }
@@ -326,6 +284,8 @@ struct Tally {
     degraded_by_chaos: usize,
     /// Fault-free capped rounds whose unbounded list was longer than k.
     cut_by_limit: usize,
+    /// Capped chaos rounds that reported no fault.
+    clean_capped_chaos: usize,
     /// Rounds run.
     rounds: usize,
 }
@@ -382,7 +342,7 @@ fn check_task(svcs: &[DiscoveryService; 2], reference: &Reference, tally: &mut T
                 &reference.task,
                 DiscoveryConfig {
                     result_limit: k,
-                    ..unbounded
+                    ..unbounded.clone()
                 },
             );
             check_health(&capped, chaos.is_some(), &at);
@@ -391,6 +351,22 @@ fn check_task(svcs: &[DiscoveryService; 2], reference: &Reference, tally: &mut T
                     is_subset(&sorted(&capped), &sorted(&full)),
                     "{at}: not a subset of the unbounded list"
                 );
+                if capped.fault_reports.is_empty() {
+                    let clean = DiscoveryConfig {
+                        faults: None,
+                        ..unbounded
+                    };
+                    let head: Vec<String> = ranked(&run(&svcs[b], &reference.task, clean))
+                        .into_iter()
+                        .take(k)
+                        .collect();
+                    assert_eq!(
+                        ranked(&capped),
+                        head,
+                        "{at}: reports no fault, but is not the fault-free unbounded head"
+                    );
+                    tally.clean_capped_chaos += 1;
+                }
             } else {
                 let head: Vec<String> = ranked(&full).into_iter().take(k).collect();
                 assert_eq!(ranked(&capped), head, "{at}: not the unbounded list's head");
@@ -449,8 +425,17 @@ fn discovery_matches_the_reference_in_every_cell() {
         "no chaos round injected a fault and degraded"
     );
     assert!(tally.cut_by_limit > 0, "the small limit never cut a list");
+    assert!(
+        tally.clean_capped_chaos > 0,
+        "every capped chaos round reported a fault"
+    );
     eprintln!(
-        "{} rounds; {} blocks skipped at 64 rows; {} chaos rounds degraded; {} lists cut",
-        tally.rounds, tally.blocks_skipped_64, tally.degraded_by_chaos, tally.cut_by_limit
+        "{} rounds; {} blocks skipped at 64 rows; {} chaos rounds degraded; {} lists cut; \
+         {} capped chaos rounds without a fault",
+        tally.rounds,
+        tally.blocks_skipped_64,
+        tally.degraded_by_chaos,
+        tally.cut_by_limit,
+        tally.clean_capped_chaos
     );
 }

@@ -81,6 +81,9 @@ pub fn lex(input: &str) -> Result<Vec<Token>, ParseError> {
                 });
                 i = j + 1;
             }
+            '\u{2019}' | '\u{201D}' => {
+                return Err(ParseError::new(pos, "closing quote without an opening one"));
+            }
             '&' => {
                 if matches!(chars.get(i + 1), Some(&(_, '&'))) {
                     out.push(Token {
@@ -217,7 +220,10 @@ pub fn lex(input: &str) -> Result<Vec<Token>, ParseError> {
             }
             _ => {
                 // Bareword: read until whitespace or a structural character.
+                // The first character is always taken, so a boundary
+                // character without an arm of its own cannot stall the loop.
                 let start = i;
+                i += 1;
                 while i < chars.len() && !is_word_boundary(chars[i].1) {
                     i += 1;
                 }
@@ -368,6 +374,24 @@ mod tests {
         assert_eq!(err.position, 0);
         assert!(lex("a | b").is_err());
         assert!(lex("a ! b").is_err());
+    }
+
+    /// A closing curly quote without an opening one once lexed as an empty
+    /// word without advancing, so the token list grew until memory ran out.
+    /// Smart punctuation turns O'Hare into `O’Hare`.
+    #[test]
+    fn unopened_closing_quotes_are_errors() {
+        for (input, at) in [
+            ("O\u{2019}Hare", 1),
+            ("\u{201D}", 0),
+            ("1990-01-01\u{201D}+", 10),
+        ] {
+            assert_eq!(lex(input).unwrap_err().position, at, "{input}");
+            let err = crate::parse_value_constraint(input).unwrap_err();
+            assert_eq!(err.position, at, "{input}");
+        }
+        // The ASCII spelling opens a quote that never closes.
+        assert_eq!(lex("O'Hare").unwrap_err().position, 1);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Figure 1 conformance: the multiresolution schema mapping language,
 //! exercised through the public facade, plus property-based parser tests.
 
+use prism::core::TargetConstraints;
 use prism::db::Value;
+use prism::lang::lexer::lex;
 use prism::lang::{
     matches_value, parse_metadata_constraint, parse_value_constraint, CmpOp, ConstraintExpr,
 };
@@ -99,6 +101,23 @@ proptest! {
     fn parser_never_panics_on_arbitrary_input(s in "\\PC{0,64}") {
         let _ = parse_value_constraint(&s);
         let _ = parse_metadata_constraint(&s);
+    }
+
+    /// `\PC` draws printable ASCII and six fixed extras, none of which the
+    /// lexer special-cases, so this draws from every character `lex`
+    /// matches or treats as a word boundary: curly quotes, logic and
+    /// comparison symbols, the ASCII operators, quotes, `@`, parentheses,
+    /// letters of the keywords, digits and spaces.
+    #[test]
+    fn lexer_terminates_on_its_own_alphabet(
+        s in "[\u{2018}\u{2019}\u{201C}\u{201D}\u{2227}\u{2228}\u{2260}\u{2264}\u{2265}&|=!<>'\"@() .ADNORadnor0-9-]{0,32}"
+    ) {
+        if let Ok(tokens) = lex(&s) {
+            prop_assert!(tokens.len() <= s.chars().count(), "{:?} from {:?}", tokens, s);
+        }
+        let _ = parse_value_constraint(&s);
+        let _ = parse_metadata_constraint(&s);
+        let _ = TargetConstraints::parse(1, &[vec![Some(s.clone())]], &[Some(s.clone())]);
     }
 
     #[test]
