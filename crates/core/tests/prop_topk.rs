@@ -279,6 +279,6 @@ fn capped_work_counters_are_pinned() {
         validations,
         rows_examined,
     };
-    assert_eq!(capped, pinned(1_938, 6_706, 1_908, 106_074), "capped");
-    assert_eq!(unbounded, pinned(2_100, 7_456, 2_433, 129_060), "unbounded");
+    assert_eq!(capped, pinned(1_938, 6_706, 1_908, 104_529), "capped");
+    assert_eq!(unbounded, pinned(2_100, 7_456, 2_433, 123_793), "unbounded");
 }

@@ -86,6 +86,38 @@
 //! A hit skips only a sub-search that would have emitted nothing, so a
 //! plan's rows, their order and its verdicts stay the same. Only work
 //! counters fall, and with them the fan-out the adaptive guard observes.
+//!
+//! ## Bound propagation
+//!
+//! The columns an equi-join equates form one *key class*: `Plan::build`
+//! unions the endpoints of every join condition in `Int` or `F64` key space,
+//! spanning links and cycle-closing residuals alike, and labels each
+//! condition with its class inline, beside the link's separator. A class
+//! holds one number per result row, so a range on one member bounds them
+//! all. Why that is sound:
+//!
+//! * A condition in `Int` or `F64` space matches two rows only when their
+//!   cells have the same f64 image: the keys are the i64 value or the f64
+//!   bits. NaN bits can join, but no bounded hull admits NaN (zone maps
+//!   already rely on this).
+//! * A predicate's hull ([`ScanPred::range`]) is a superset of every number
+//!   the predicate admits, and a NULL member cell never joins.
+//! * So in any result row all members of a class hold one number, and it
+//!   lies in the intersection of their hulls. `Sym` classes (text, date,
+//!   time) carry no numeric hull and are left alone.
+//!
+//! Each run intersects its predicate hulls over every class. An empty
+//! intersection proves the run empty before any scan
+//! ([`ExecStats::bound_refuted_runs`]); such a run feeds nothing to the
+//! adaptive guard, because no plan ran. A non-empty one becomes a range
+//! check, tested before the local predicates, and a zone-map range pruner
+//! on each member column whose node is not reached through that same
+//! column: usually the start node's. A member reached through its class's
+//! own link equals an earlier member by key equality, so it inherits the
+//! bound unchecked. The planner prices start scans with the class bounds
+//! too, so a plan can start where a bound prunes. A run with no hull on a
+//! member column does no extra work. Rows, their order and verdicts stay
+//! the same; only work counters fall.
 
 use crate::column::{Column, ColumnData};
 use crate::database::Database;
@@ -178,6 +210,12 @@ pub struct ExecStats {
     /// separator keys) had already failed earlier in the same run (see the
     /// module docs).
     pub nogood_hits: u64,
+    /// Runs proven empty before any scan because the predicate hulls on
+    /// one key class's columns do not intersect (see the module docs).
+    pub bound_refuted_runs: u64,
+    /// Runs that checked some key-class member column against a bound
+    /// propagated from the other members' hulls.
+    pub bound_checked_runs: u64,
 }
 
 impl ExecStats {
@@ -195,6 +233,8 @@ impl ExecStats {
         self.plan_recompiles += other.plan_recompiles;
         self.rows_estimated += other.rows_estimated;
         self.nogood_hits += other.nogood_hits;
+        self.bound_refuted_runs += other.bound_refuted_runs;
+        self.bound_checked_runs += other.bound_checked_runs;
     }
 
     /// Observed-vs-estimated fan-out: rows actually examined per row the
@@ -634,28 +674,61 @@ impl PreparedQuery {
         }
         scratch.reset_for(self);
         let plan = self.active_plan(db, preds, stats);
+        // Key-class bounds (see the module docs). Runs with no hull on a
+        // member column leave both buffers empty.
+        if plan.classes > 0
+            && intersect_class_hulls(
+                &self.query,
+                preds,
+                plan.classes,
+                plan.members(),
+                &mut scratch.class_hulls,
+            )
+        {
+            if scratch.class_hulls.iter().any(|&(lo, hi)| lo > hi) {
+                stats.bound_refuted_runs += 1;
+                return Ok(());
+            }
+            bound_checks(
+                &self.query,
+                preds,
+                &scratch.class_hulls,
+                plan.members(),
+                |node, col| plan.reached_through(node, col),
+                &mut scratch.bounds,
+            );
+            stats.bound_checked_runs += u64::from(!scratch.bounds.is_empty());
+        }
         // Zone-map pruners from range-hinted local predicates on numeric
-        // columns, hoisted out of the scan loops: they are constant for the
-        // whole run (hulls travel with the predicates, not the plan). None
-        // when no predicate carries a usable hull — the common text-probe
-        // case allocates nothing here.
+        // columns and from bound checks, hoisted out of the scan loops: they
+        // are constant for the whole run (hulls travel with the predicates,
+        // not the plan). None when no predicate carries a usable hull — the
+        // common text-probe case allocates nothing here.
         let mut pruners: Option<Vec<Vec<Pruner<'_>>>> = None;
-        for (node, local) in plan.local_preds.iter().enumerate() {
-            for &(col, slot) in local {
-                let pred = preds[slot].expect("shape-checked above");
-                let Some((lo, hi)) = pred.range() else {
-                    continue;
-                };
-                let column = db.table(self.query.nodes[node]).column(col);
-                if matches!(column.data(), ColumnData::Int(_) | ColumnData::Decimal(_)) {
-                    pruners.get_or_insert_with(|| {
-                        (0..self.query.nodes.len()).map(|_| Vec::new()).collect()
-                    })[node]
-                        .push(Pruner {
-                            col: column,
-                            kind: PrunerKind::Range(lo, hi),
-                        });
-                }
+        let local_ranges = plan
+            .local_preds
+            .iter()
+            .enumerate()
+            .flat_map(|(node, local)| {
+                local.iter().filter_map(move |&(col, slot)| {
+                    let pred = preds[slot].expect("shape-checked above");
+                    pred.range().map(|(lo, hi)| (node, col, lo, hi))
+                })
+            });
+        let bound_ranges = scratch
+            .bounds
+            .iter()
+            .map(|b| (b.node as usize, b.col, b.lo, b.hi));
+        for (node, col, lo, hi) in local_ranges.chain(bound_ranges) {
+            let column = db.table(self.query.nodes[node]).column(col);
+            if matches!(column.data(), ColumnData::Int(_) | ColumnData::Decimal(_)) {
+                pruners.get_or_insert_with(|| {
+                    (0..self.query.nodes.len()).map(|_| Vec::new()).collect()
+                })[node]
+                    .push(Pruner {
+                        col: column,
+                        kind: PrunerKind::Range(lo, hi),
+                    });
             }
         }
         let search = Search {
@@ -664,6 +737,7 @@ impl PreparedQuery {
             plan,
             preds,
             pruners,
+            bounds: &scratch.bounds,
         };
         let mut st = SearchState {
             row_buf: Vec::new(),
@@ -744,6 +818,10 @@ pub struct ExecScratch {
     /// atomic add per node per *run* there — the row loop stays contention-
     /// free.
     node_rows: Vec<u64>,
+    /// The current run's hull per key class, and the bound checks derived
+    /// from them (see the module docs).
+    class_hulls: Vec<(f64, f64)>,
+    bounds: Vec<BoundCheck>,
     /// Whether any run has used this scratch (drives
     /// [`ExecStats::scratch_reuses`]).
     used: bool,
@@ -773,6 +851,7 @@ impl ExecScratch {
         self.node_rows.clear();
         self.node_rows.resize(pq.query.nodes.len(), 0);
         self.nogoods.clear();
+        self.bounds.clear();
         self.memos.truncate(pq.memo_shapes.len());
         for (i, &shape) in pq.memo_shapes.iter().enumerate() {
             match self.memos.get_mut(i) {
@@ -799,6 +878,43 @@ struct Link {
     /// Separator of this link's depth, filled in by [`Plan::build`] once
     /// the visit order is final.
     separator: Separator,
+    /// Key class of the link's two columns.
+    class: KeyClass,
+}
+
+/// Label of one key class of a plan (see the module docs): the index of
+/// its first join condition, or [`NO_CLASS`] for a condition in `Sym`
+/// space. One byte, so it sits in the padding of the link and residual
+/// entries it labels.
+type KeyClass = u8;
+
+/// The label of a condition outside every class: `Sym` space, or a class
+/// whose first condition has an index no label can hold.
+const NO_CLASS: KeyClass = KeyClass::MAX;
+
+/// One run's range check on a key-class member column: a row passes only
+/// when its cell is a number in `[lo, hi]`.
+#[derive(Debug, Clone, Copy)]
+struct BoundCheck {
+    node: u32,
+    col: u32,
+    lo: f64,
+    hi: f64,
+}
+
+impl BoundCheck {
+    #[inline]
+    fn admits(&self, column: &Column, row: usize) -> bool {
+        if column.is_null(row) {
+            return false; // NULL never joins
+        }
+        let x = match column.data() {
+            ColumnData::Int(v) => v[row] as f64,
+            ColumnData::Decimal(v) => v[row],
+            ColumnData::Sym(_) => unreachable!("key classes hold numeric columns"),
+        };
+        self.lo <= x && x <= self.hi
+    }
 }
 
 /// One join key an already-assigned node exposes to a deeper sub-search:
@@ -834,8 +950,11 @@ struct Plan {
     link: Vec<Option<Link>>,
     /// Cycle-closing join conditions checked once both sides are assigned:
     /// evaluated at the depth where the *later* endpoint gets its row,
-    /// compared in the endpoints' common key space.
-    residual_at: Vec<Vec<(JoinCond, crate::types::KeySpace)>>,
+    /// compared in the endpoints' common key space, with their key class.
+    residual_at: Vec<Vec<(JoinCond, KeySpace, KeyClass)>>,
+    /// One more than the largest key-class label: the length of a run's
+    /// per-class hull buffer.
+    classes: u8,
     /// Local predicates per node slot: (column, projection slot index).
     local_preds: Vec<Vec<(u32, usize)>>,
     /// Planning mode this plan was built under; the adaptive guard only
@@ -872,9 +991,17 @@ fn pred_selectivity(
         .column(crate::schema::ColumnRef::new(q.nodes[node], col));
     let range = preds.get(slot).copied().flatten().and_then(|p| p.range());
     match range {
-        Some((lo, hi)) if lo > hi => MIN_SEL * MIN_SEL,
-        Some((lo, hi)) if st.dtype.is_numeric() => st.selectivity_range(lo, hi).max(MIN_SEL),
+        Some((lo, hi)) if lo > hi || st.dtype.is_numeric() => range_sel(st, lo, hi),
         _ => (1.0 / st.distinct_count.max(1) as f64).max(MIN_SEL),
+    }
+}
+
+/// Estimated fraction of a column's rows inside a numeric hull.
+fn range_sel(st: &crate::stats::ColumnStats, lo: f64, hi: f64) -> f64 {
+    if lo > hi {
+        MIN_SEL * MIN_SEL
+    } else {
+        st.selectivity_range(lo, hi).max(MIN_SEL)
     }
 }
 
@@ -889,6 +1016,9 @@ struct Estimator<'a> {
     /// Per-node cost multipliers from the adaptive guard's observed
     /// fan-out (recompiles only); `None` on the first compile.
     feedback: Option<&'a [f64]>,
+    /// The key-class bound on every member column its class's hull bounds
+    /// more tightly than the column's own predicate does.
+    class_bounds: &'a [BoundCheck],
 }
 
 impl Estimator<'_> {
@@ -922,25 +1052,46 @@ impl Estimator<'_> {
                     .flatten()
                     .and_then(|p| p.range())
                 {
-                    Some((lo, hi)) if lo > hi => MIN_SEL * MIN_SEL,
-                    Some((lo, hi)) if st.dtype.is_numeric() => {
-                        st.selectivity_range(lo, hi).max(MIN_SEL)
-                    }
+                    Some((lo, hi)) if lo > hi || st.dtype.is_numeric() => range_sel(st, lo, hi),
                     _ => 1.0,
                 }
             })
             .product()
     }
 
-    /// Rows a full scan of `node` examines (hulls prune, opaque predicates
-    /// don't) and rows it yields after all predicates.
+    /// How much further the class bounds narrow a start scan of `node`:
+    /// per bounded member column, the bound's selectivity over that of the
+    /// column's own hull (1 without one). A start node is reached through
+    /// no link, so a run checks every bounded member column it holds.
+    fn class_sel(&self, node: usize) -> f64 {
+        self.class_bounds
+            .iter()
+            .filter(|b| b.node as usize == node)
+            .map(|b| {
+                let st = self
+                    .db
+                    .stats()
+                    .column(crate::schema::ColumnRef::new(self.q.nodes[node], b.col));
+                let own = self.local_preds[node]
+                    .iter()
+                    .filter(|&&(col, _)| col == b.col)
+                    .filter_map(|&(_, slot)| self.preds.get(slot).copied().flatten()?.range())
+                    .map(|(lo, hi)| range_sel(st, lo, hi))
+                    .fold(1.0, f64::min);
+                (range_sel(st, b.lo, b.hi) / own).min(1.0)
+            })
+            .product()
+    }
+
+    /// Rows a full scan of `node` examines (hulls and class bounds prune,
+    /// opaque predicates don't) and rows it yields after all predicates.
     fn scan_cost(&self, node: usize) -> f64 {
         let rows = self.db.row_count(self.q.nodes[node]) as f64;
-        (rows * self.hull_sel(node)).max(1.0) * self.mult(node)
+        (rows * self.hull_sel(node) * self.class_sel(node)).max(1.0) * self.mult(node)
     }
 
     fn scan_card(&self, node: usize) -> f64 {
-        self.db.row_count(self.q.nodes[node]) as f64 * self.pred_sel(node)
+        self.db.row_count(self.q.nodes[node]) as f64 * self.pred_sel(node) * self.class_sel(node)
     }
 
     /// Per-parent-row probe estimate into `to.tcol`:
@@ -1030,23 +1181,42 @@ impl Plan {
                 *locals = keyed.into_iter().map(|(_, p)| p).collect();
             }
         }
+        let (labels, classes) = key_classes(q, db);
+        let members = || {
+            q.joins
+                .iter()
+                .zip(&labels)
+                .filter(|&(_, &class)| class != NO_CLASS)
+                .flat_map(|(j, &class)| {
+                    [
+                        (j.left_node, j.left_col, class),
+                        (j.right_node, j.right_col, class),
+                    ]
+                })
+        };
+        let mut hulls = Vec::new();
+        let mut class_bounds = Vec::new();
+        if intersect_class_hulls(q, preds, classes, members(), &mut hulls) {
+            bound_checks(q, preds, &hulls, members(), |_, _| false, &mut class_bounds);
+        }
         let est = Estimator {
             q,
             db,
             local_preds: &local_preds,
             preds,
             feedback,
+            class_bounds: &class_bounds,
         };
         let (order, mut link, used_join, moved_nodes) = match mode {
             JoinOrder::Fixed => {
-                let (order, link, used) = fixed_order(q, db, &local_preds);
+                let (order, link, used) = fixed_order(q, db, &local_preds, &labels);
                 (order, link, used, 0)
             }
             JoinOrder::Cost => {
-                let (order, link, used) = cost_order(q, db, &est);
+                let (order, link, used) = cost_order(q, db, &est, &labels);
                 // How far did cost planning move the tree? Compare against
                 // what declaration-order planning would have done.
-                let (fixed, _, _) = fixed_order(q, db, &local_preds);
+                let (fixed, _, _) = fixed_order(q, db, &local_preds, &labels);
                 let moved = order.iter().zip(&fixed).filter(|(a, b)| a != b).count() as u32;
                 (order, link, used, moved)
             }
@@ -1054,12 +1224,12 @@ impl Plan {
         // Remaining joins are redundant cycle-closers: schedule each at the
         // depth where its later endpoint is assigned.
         let depth_of = |node: usize| order.iter().position(|&x| x == node).expect("visited");
-        let mut residual_at: Vec<Vec<(JoinCond, crate::types::KeySpace)>> = vec![Vec::new(); n];
+        let mut residual_at: Vec<Vec<(JoinCond, KeySpace, KeyClass)>> = vec![Vec::new(); n];
         for (ji, j) in q.joins.iter().enumerate() {
             if !used_join[ji] {
                 let d = depth_of(j.left_node).max(depth_of(j.right_node));
                 let pair = pair_space_of(q, db, j.left_node, j.left_col, j.right_node, j.right_col);
-                residual_at[d].push((*j, pair));
+                residual_at[d].push((*j, pair, labels[ji]));
             }
         }
         if mode == JoinOrder::Cost {
@@ -1067,7 +1237,7 @@ impl Plan {
             // passing shrinks with the larger distinct count of its
             // endpoints, so check the sharpest key equality first.
             for residuals in &mut residual_at {
-                residuals.sort_by_key(|(j, _)| {
+                residuals.sort_by_key(|(j, ..)| {
                     let d = db
                         .stats()
                         .distinct_count(q.nodes[j.left_node], j.left_col)
@@ -1097,7 +1267,7 @@ impl Plan {
                 if let Some(l) = &link[e] {
                     read(l.parent_node, l.parent_col, l.pair_space);
                 }
-                for &(j, space) in &residual_at[e] {
+                for &(j, space, _) in &residual_at[e] {
                     read(j.left_node, j.left_col, space);
                     read(j.right_node, j.right_col, space);
                 }
@@ -1116,12 +1286,151 @@ impl Plan {
             order,
             link,
             residual_at,
+            classes,
             local_preds,
             mode,
             est_rows,
             est_node_rows,
             moved_nodes,
         }
+    }
+
+    /// Every key-class member column as `(node, column, class)`: both
+    /// endpoints of each labeled link and residual, repeats included.
+    fn members(&self) -> impl Iterator<Item = (usize, u32, KeyClass)> + Clone + '_ {
+        let links = self.order.iter().zip(&self.link).filter_map(|(&node, l)| {
+            let l = l.as_ref()?;
+            Some([
+                (l.parent_node, l.parent_col, l.class),
+                (node, l.my_col, l.class),
+            ])
+        });
+        let residuals = self.residual_at.iter().flatten().map(|&(j, _, class)| {
+            [
+                (j.left_node, j.left_col, class),
+                (j.right_node, j.right_col, class),
+            ]
+        });
+        links
+            .chain(residuals)
+            .flatten()
+            .filter(|&(.., class)| class != NO_CLASS)
+    }
+
+    /// Is `node` reached through a link into its column `col`? Its cells in
+    /// that column then equal an earlier node's, key for key.
+    fn reached_through(&self, node: usize, col: u32) -> bool {
+        self.order
+            .iter()
+            .zip(&self.link)
+            .any(|(&n, l)| n == node && l.as_ref().is_some_and(|l| l.my_col == col))
+    }
+}
+
+/// The key class of each join condition of `q`: conditions in `Int` or
+/// `F64` space that share an endpoint column get one label, the smallest
+/// index among them, and `Sym` conditions get [`NO_CLASS`]. Returns the
+/// labels and one more than the largest label (0 without any).
+fn key_classes(q: &PjQuery, db: &Database) -> (Vec<KeyClass>, u8) {
+    let n = q.joins.len();
+    let mut labels: Vec<KeyClass> = q
+        .joins
+        .iter()
+        .enumerate()
+        .map(|(ji, j)| {
+            match pair_space_of(q, db, j.left_node, j.left_col, j.right_node, j.right_col) {
+                KeySpace::Sym => NO_CLASS,
+                _ => KeyClass::try_from(ji).unwrap_or(NO_CLASS),
+            }
+        })
+        .collect();
+    // A condition that shares a column with a lower-labeled one takes its
+    // label, until none does. `Sym` conditions share columns only with each
+    // other, and join counts are tiny.
+    let ends = |j: &JoinCond| [(j.left_node, j.left_col), (j.right_node, j.right_col)];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))) {
+            let (ea, eb) = (ends(&q.joins[a]), ends(&q.joins[b]));
+            if labels[b] < labels[a] && ea.iter().any(|e| eb.contains(e)) {
+                labels[a] = labels[b];
+                changed = true;
+            }
+        }
+    }
+    let classes = labels
+        .iter()
+        .filter(|&&k| k != NO_CLASS)
+        .max()
+        .map_or(0, |&k| k + 1);
+    (labels, classes)
+}
+
+/// The widest hull: it bounds nothing.
+const FULL_HULL: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
+
+/// Intersects the hulls of `preds` over each key class of `members`.
+/// Returns `false`, leaving `hulls` as it was, when no predicate with a hull
+/// sits on a member column; otherwise `hulls` holds one intersection per
+/// class (`lo > hi` when empty, [`FULL_HULL`] for a class without a hull).
+fn intersect_class_hulls(
+    q: &PjQuery,
+    preds: &[ProjPred<'_>],
+    classes: u8,
+    members: impl Iterator<Item = (usize, u32, KeyClass)> + Clone,
+    hulls: &mut Vec<(f64, f64)>,
+) -> bool {
+    let mut any = false;
+    for (slot, &(node, col)) in q.projection.iter().enumerate() {
+        let Some((lo, hi)) = preds.get(slot).copied().flatten().and_then(|p| p.range()) else {
+            continue;
+        };
+        let Some((.., class)) = members.clone().find(|&(n, c, _)| n == node && c == col) else {
+            continue;
+        };
+        if !any {
+            hulls.clear();
+            hulls.resize(usize::from(classes), FULL_HULL);
+            any = true;
+        }
+        let h = &mut hulls[usize::from(class)];
+        *h = (h.0.max(lo), h.1.min(hi));
+    }
+    any
+}
+
+/// Appends to `out` a check of each member column whose class's hull in
+/// `hulls` bounds it more tightly than its own predicate, once per column,
+/// skipping the columns `inherits` names (reached through their class's
+/// own link).
+fn bound_checks(
+    q: &PjQuery,
+    preds: &[ProjPred<'_>],
+    hulls: &[(f64, f64)],
+    members: impl Iterator<Item = (usize, u32, KeyClass)>,
+    inherits: impl Fn(usize, u32) -> bool,
+    out: &mut Vec<BoundCheck>,
+) {
+    for (node, col, class) in members {
+        let (lo, hi) = hulls[usize::from(class)];
+        let own_is_as_tight =
+            q.projection.iter().zip(preds).any(|(&p, pred)| {
+                p == (node, col) && pred.and_then(|p| p.range()) == Some((lo, hi))
+            });
+        if (lo, hi) == FULL_HULL
+            || own_is_as_tight
+            || inherits(node, col)
+            || out.iter().any(|b| (b.node, b.col) == (node as u32, col))
+        {
+            continue;
+        }
+        out.push(BoundCheck {
+            node: node as u32,
+            col,
+            lo,
+            hi,
+        });
     }
 }
 
@@ -1155,7 +1464,15 @@ fn pair_space_of(
     }
 }
 
-fn make_link(q: &PjQuery, db: &Database, from: usize, fcol: u32, to: usize, tcol: u32) -> Link {
+fn make_link(
+    q: &PjQuery,
+    db: &Database,
+    from: usize,
+    fcol: u32,
+    to: usize,
+    tcol: u32,
+    class: KeyClass,
+) -> Link {
     let pair_space = pair_space_of(q, db, from, fcol, to, tcol);
     let index_usable = pair_space == db.key_space(crate::schema::ColumnRef::new(q.nodes[to], tcol));
     Link {
@@ -1165,6 +1482,7 @@ fn make_link(q: &PjQuery, db: &Database, from: usize, fcol: u32, to: usize, tcol
         pair_space,
         index_usable,
         separator: Separator::Wide,
+        class,
     }
 }
 
@@ -1177,6 +1495,7 @@ fn fixed_order(
     q: &PjQuery,
     db: &Database,
     local_preds: &[Vec<(u32, usize)>],
+    labels: &[KeyClass],
 ) -> (Vec<usize>, Vec<Option<Link>>, Vec<bool>) {
     let n = q.nodes.len();
     let start = (0..n)
@@ -1209,7 +1528,7 @@ fn fixed_order(
             used_join[ji] = true;
             visited[to] = true;
             order.push(to);
-            link.push(Some(make_link(q, db, from, fcol, to, tcol)));
+            link.push(Some(make_link(q, db, from, fcol, to, tcol, labels[ji])));
             progressed = true;
         }
         if !progressed {
@@ -1230,6 +1549,7 @@ fn cost_order(
     q: &PjQuery,
     db: &Database,
     est: &Estimator<'_>,
+    labels: &[KeyClass],
 ) -> (Vec<usize>, Vec<Option<Link>>, Vec<bool>) {
     let n = q.nodes.len();
     let mut best: Option<(f64, Vec<usize>, Vec<Option<Link>>, Vec<bool>)> = None;
@@ -1275,7 +1595,7 @@ fn cost_order(
             used_join[ji] = true;
             visited[to] = true;
             order.push(to);
-            let l = make_link(q, db, from, fcol, to, tcol);
+            let l = make_link(q, db, from, fcol, to, tcol, labels[ji]);
             let (_, matches) = est.probe(to, tcol, l.index_usable);
             link.push(Some(l));
             total += step;
@@ -1296,8 +1616,11 @@ struct Search<'a> {
     plan: &'a Plan,
     preds: &'a [ProjPred<'a>],
     /// Run-constant zone-map pruners per node slot (from range-hinted
-    /// numeric local predicates); `None` when no predicate carries a hull.
+    /// numeric local predicates and bound checks); `None` when no
+    /// predicate carries a hull.
     pruners: Option<Vec<Vec<Pruner<'a>>>>,
+    /// The run's key-class bound checks (see the module docs).
+    bounds: &'a [BoundCheck],
 }
 
 /// The mutable state threaded through the backtracking recursion. The
@@ -1480,6 +1803,8 @@ impl<'a> Search<'a> {
     /// Is the full scan of `node` a single dictionary predicate with an
     /// eligible memo and no pruners? Returns its `(column, slot)`.
     fn dict_scan_target(&self, node: usize, st: &SearchState<'a, '_, '_>) -> Option<(u32, usize)> {
+        // A bound check always comes with a range pruner, so a checked node
+        // never takes the fast path, which skips `try_row`.
         if self.pruners.as_ref().is_some_and(|p| !p[node].is_empty()) {
             return None;
         }
@@ -1645,8 +1970,9 @@ impl<'a> Search<'a> {
         Ok(true)
     }
 
-    /// Test one candidate row of `node`: local predicates (through the
-    /// shared dictionary memos), then residual join checks, then recurse.
+    /// Test one candidate row of `node`: bound checks, local predicates
+    /// (through the shared dictionary memos), then residual join checks,
+    /// then recurse.
     /// `Ok(true)` means "keep searching" whether or not the row survived.
     fn try_row(
         &self,
@@ -1659,6 +1985,11 @@ impl<'a> Search<'a> {
         st.tick()?;
         st.stats.rows_examined += 1;
         st.node_rows[node] += 1;
+        for b in self.bounds.iter().filter(|b| b.node as usize == node) {
+            if !b.admits(table.column(b.col), row as usize) {
+                return Ok(true);
+            }
+        }
         let syms = self.db.symbols();
         // Local predicates, on zero-copy cell views. Dictionary columns go
         // through the slot's verdict memo: one evaluation per distinct code
@@ -1700,7 +2031,7 @@ impl<'a> Search<'a> {
         // Residual (cycle-closing) join checks at this depth, on compact
         // keys in the pair's common space (NULL keys never match, matching
         // equi-join semantics).
-        for (j, pair_space) in &self.plan.residual_at[depth] {
+        for (j, pair_space, _) in &self.plan.residual_at[depth] {
             let l = self
                 .db
                 .table(self.q.nodes[j.left_node])
@@ -2493,6 +2824,8 @@ mod tests {
             plan_recompiles: 8,
             rows_estimated: 9,
             nogood_hits: 10,
+            bound_refuted_runs: 11,
+            bound_checked_runs: 12,
         };
         let b = ExecStats {
             rows_examined: 10,
@@ -2505,6 +2838,8 @@ mod tests {
             plan_recompiles: 80,
             rows_estimated: 90,
             nogood_hits: 100,
+            bound_refuted_runs: 110,
+            bound_checked_runs: 120,
         };
         a.merge(&b);
         assert_eq!(a.rows_examined, 11);
@@ -2517,6 +2852,8 @@ mod tests {
         assert_eq!(a.plan_recompiles, 88);
         assert_eq!(a.rows_estimated, 99);
         assert_eq!(a.nogood_hits, 110);
+        assert_eq!(a.bound_refuted_runs, 121);
+        assert_eq!(a.bound_checked_runs, 132);
         assert_eq!(a.fanout_ratio(), Some(11.0 / 99.0));
         assert_eq!(ExecStats::default().fanout_ratio(), None);
     }
@@ -2611,6 +2948,61 @@ mod tests {
             fixed_stats.rows_examined
         );
         assert!(cost_stats.rows_estimated > 0);
+    }
+
+    /// `Tag.id = Item.tag` is one key class. Disjoint ranges on its two
+    /// columns refute the run before any scan. A range on `Item.tag` alone
+    /// bounds `Tag.id` too: the plan starts at `Tag`, where zone maps on the
+    /// sorted ids skip a block, and checks the bound there. Rows stay those
+    /// of the same predicate without its hull, which bounds nothing.
+    #[test]
+    fn class_bounds_refute_runs_and_bound_the_equated_column() {
+        let db = hub_db();
+        let q = PjQuery {
+            projection: vec![(0, 1), (1, 0)], // Tag.id, Item.tag
+            ..hub_query(&db)
+        };
+        let within = |lo: f64, hi: f64| {
+            move |v: ValueRef<'_>| v.as_number().is_some_and(|x| lo <= x && x <= hi)
+        };
+        let (ids, tags, hub) = (within(200.0, 300.0), within(40.0, 45.0), within(1.0, 1.0));
+        let mut refuted = ExecStats::default();
+        let n = q
+            .count_matching(
+                &db,
+                &[
+                    Some(ScanPred::new(&ids).with_range(200.0, 300.0)),
+                    Some(ScanPred::new(&tags).with_range(40.0, 45.0)),
+                ],
+                u64::MAX,
+                &mut refuted,
+            )
+            .unwrap();
+        assert_eq!(n, 0);
+        assert_eq!(refuted.bound_refuted_runs, 1);
+        assert_eq!(refuted.rows_examined, 0, "refuted before any scan");
+        let collect = |tag_pred: ScanPred<'_>| {
+            let mut stats = ExecStats::default();
+            let mut rows: Vec<Vec<Value>> = Vec::new();
+            q.for_each_row(&db, &[None, Some(tag_pred)], &mut stats, &mut |r| {
+                rows.push(r.iter().map(|v| v.to_value()).collect());
+                true
+            })
+            .unwrap();
+            rows.sort();
+            (rows, stats)
+        };
+        let (bounded, with_hull) = collect(ScanPred::new(&hub).with_range(1.0, 1.0));
+        let (plain, without_hull) = collect(ScanPred::new(&hub));
+        assert_eq!(bounded, plain);
+        assert_eq!(bounded.len(), 2500, "the hub tag's items");
+        assert_eq!(with_hull.bound_checked_runs, 1);
+        assert_eq!(without_hull.bound_checked_runs, 0);
+        assert_eq!(
+            with_hull.blocks_skipped, 1,
+            "Tag.id's zone maps skip a block"
+        );
+        assert!(with_hull.rows_examined < without_hull.rows_examined);
     }
 
     /// Hub-concentrated parent keys make every probe hit the longest

@@ -241,6 +241,76 @@ proptest! {
     }
 }
 
+/// CSV fragments that stress the reader: lone and doubled quotes, bare and
+/// paired line breaks, separators and padding, non-ASCII text with curly
+/// quotes, and numeric, date- and time-shaped fields, valid or not.
+fn arb_fragment() -> impl Strategy<Value = &'static str> {
+    prop_oneof![
+        Just("\""),
+        Just("\"\""),
+        Just("\r"),
+        Just("\n"),
+        Just("\r\n"),
+        Just(","),
+        Just("\t"),
+        Just(" "),
+        Just("a"),
+        Just("é"),
+        Just("中"),
+        Just("\u{1F980}"),
+        Just("\u{2019}"),
+        Just("\u{201D}"),
+        Just("42"),
+        Just("-3.5e2"),
+        Just("NaN"),
+        Just("9223372036854775808"),
+        Just("2024-02-29"),
+        Just("2023-13-45"),
+        Just("23:59:59"),
+        Just("24:61:00"),
+    ]
+}
+
+/// The no-panic contract of the ingest path (`DatabaseBuilder` reads user
+/// CSV): any text yields a table or a typed error at one and four parse
+/// threads, and a table that loads also builds. Each text also runs tiled
+/// past the parallel-split threshold, so chunk splits land in malformed
+/// input too; some tiled loads must really parse in parallel.
+#[test]
+fn arbitrary_csv_text_loads_or_errs_without_panicking() {
+    let strategy = proptest::collection::vec(arb_fragment(), 0..24);
+    let mut rng = proptest::test_runner::TestRng::deterministic("arbitrary_csv_text");
+    let (mut loaded, mut split) = (0, 0);
+    for case in 0..256 {
+        let text: String = strategy.generate(&mut rng).concat();
+        let tiled = if text.is_empty() {
+            String::new()
+        } else {
+            text.repeat(70 * 1024 / text.len() + 1)
+        };
+        for input in [&text, &tiled] {
+            for threads in [1, 4] {
+                let outcome = std::panic::catch_unwind(|| {
+                    let mut b = DatabaseBuilder::new("P");
+                    b.add_table_from_csv_threads("T", input, threads)
+                        .is_ok()
+                        .then(|| b.build().ingest_report().parse_threads)
+                });
+                let Ok(parse_threads) = outcome else {
+                    panic!(
+                        "case {case}: panicked at {threads} thread(s) on {} bytes of {text:?}",
+                        input.len()
+                    );
+                };
+                loaded += usize::from(parse_threads.is_some());
+                split += usize::from(parse_threads.is_some_and(|t| t > 1));
+            }
+        }
+    }
+    eprintln!("{loaded} loads succeeded, {split} of them split across threads");
+    assert!(split > 0, "no tiled text parsed in parallel");
+}
+
 /// Quoted padding survives the streaming path and the legacy path alike
 /// (the trim fix is shared), while unquoted padding still trims — checked
 /// here end to end through both loaders rather than at the field level.
